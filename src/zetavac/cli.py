@@ -67,14 +67,7 @@ _DEFAULTS = {
         "q": 1.0,
         "q_max": 5,
         "layers": 8,
-        "kind": "conjugate_gradient",
-        "sweeps": 3,
-        "cg_tol": 1e-9,
-        "fd_step": 1e-6,
         "max_iter": 25000,
-        "patience": 600,
-        "rounds": 4,
-        "stall_tol": 2e-8,
         "restarts": 5,
         "shots": 0,
     },
@@ -285,17 +278,7 @@ def cmd_vqe(cfg, out_dir, check) -> int:
     if cfg["q_max"] > 12:
         raise ConfigError(f"q_max {cfg['q_max']} exceeds the 12-qubit statevector guard")
     params = HydrogenParams(m=cfg["m"], q=cfg["q"])
-    opt = OptimizerConfig(
-        kind=cfg["kind"],
-        sweeps=cfg["sweeps"],
-        cg_tol=cfg["cg_tol"],
-        fd_step=cfg["fd_step"],
-        seed=cfg["seed"],
-        max_iter=cfg["max_iter"],
-        patience=cfg["patience"],
-        rounds=cfg["rounds"],
-        stall_tol=cfg["stall_tol"],
-    )
+    opt = OptimizerConfig(seed=cfg["seed"], max_iter=cfg["max_iter"])
     coeff_list, exact = [], []
     for Q in range(1, cfg["q_max"] + 1):
         H = hydrogen_matrix(1 << Q, params)
@@ -405,7 +388,8 @@ def cmd_zeta(cfg, out_dir, check) -> int:
 def cmd_pauli_export(cfg, out_dir, check) -> int:
     params = HydrogenParams(m=cfg["m"], q=cfg["q"])
     Q = cfg["qubits"]
-    c = decompose(hydrogen_matrix(1 << Q, params))
+    H = hydrogen_matrix(1 << Q, params)
+    c = decompose(H)
     cfg_hash = _config_hash(cfg)
     rows = []
     for q in range(4**Q):
@@ -417,9 +401,10 @@ def cmd_pauli_export(cfg, out_dir, check) -> int:
         rows,
     )
     if check:
-        err = np.abs(reconstruct(c) - hydrogen_matrix(1 << Q, params)).max()
-        if err > 1e-12:
-            raise CheckFailure(f"round-trip error {err:.3e} above 1e-12")
+        scale = np.abs(H).max()
+        err = np.abs(reconstruct(c) - H).max()
+        if err > 1e-14 * scale:
+            raise CheckFailure(f"round-trip error {err:.3e} above 1e-14 * max|M| = {1e-14 * scale:.3e}")
     return 0
 
 

@@ -69,7 +69,7 @@ class DegenerateFit(ValueError):
 
 
 class StalledOptimization(RuntimeError):
-    """An optimizer made no progress; best-so-far attached.
+    """An optimizer ran out of iterations before converging; best-so-far attached.
 
     Not fatal: callers may restart from a perturbed point or accept
     ``params``/``energy`` as the result.

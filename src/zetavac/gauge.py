@@ -10,7 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenominatorNearZero, DimensionMismatch, NonPositiveSpectrum
+from .errors import (
+    DenominatorNearZero,
+    DimensionMismatch,
+    NonPositiveSpectrum,
+    SingularFunctionValue,
+)
 from .spectral import EigenSystem, eig_hermitian, matrix_function
 from .truncation import project_operator
 
@@ -177,7 +182,9 @@ def denominator_zero_scan(H, grid: ZGrid, system: EigenSystem | None = None) -> 
 
     Evaluated through the spectral sum sum_j |<v_j, psi>|^2 lambda_j^z,
     which is the same quantity gauge_ratio divides by.  Returns the
-    subset of grid points with |denominator| < 1e-10.
+    subset of grid points with |denominator| < 1e-10; raises
+    SingularFunctionValue, naming the first such z, when a denominator
+    is not finite (lambda^z overflows for large Re z).
     """
     if system is None:
         system = eig_hermitian(H)
@@ -185,5 +192,9 @@ def denominator_zero_scan(H, grid: ZGrid, system: EigenSystem | None = None) -> 
     w = np.abs(system.vectors.conj().T @ psi) ** 2
     log_lam = np.log(system.eigenvalues)
     pts = grid.points
-    den = np.array([np.sum(w * np.exp(z * log_lam)) for z in pts])
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = np.array([np.sum(w * np.exp(z * log_lam)) for z in pts])
+    bad = ~np.isfinite(den)
+    if bad.any():
+        raise SingularFunctionValue(f"non-finite denominator at z = {pts[bad][0]}")
     return pts[np.abs(den) < 1e-10]

@@ -4,11 +4,10 @@ The ansatz is the hardware-efficient layout: per layer an R_y and R_z
 rotation on every qubit followed by a chain of CZ gates on neighbouring
 qubits, plus one final rotation pair per qubit.  States are propagated
 for many parameter sets at once (one batch axis), which makes both the
-finite-difference gradient and the line search essentially free; the
-classical loop is Polak-Ribiere conjugate gradients with a batched
-grid line minimization, optionally preceded by sequential
-single-parameter sweeps whose 1-d minimizations are exact (the energy
-is a sinusoid in any one angle).
+gradient and the line search essentially free.  The classical loop is
+BFGS on exact parameter-shift gradients (the energy is a sinusoid in
+any one angle, so two shifted evaluations per angle give the exact
+derivative) with a batched grid line minimization.
 """
 from __future__ import annotations
 
@@ -58,28 +57,14 @@ class AnsatzSpec:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of minimize; kind picks conjugate gradients or pure sweeps.
+    """Knobs of minimize: the seed of the random start and the iteration budget."""
 
-    ``patience`` and ``stall_tol`` define the stagnation window: a CG leg
-    stops once the best energy has improved by less than ``stall_tol``
-    over the last ``patience`` iterations.  The window must be generous;
-    the late phase of an ill-conditioned descent moves through long
-    plateaus that a short window would misread as convergence.
-    """
-
-    kind: str = "conjugate_gradient"
-    sweeps: int = 3
-    cg_tol: float = 1e-9
-    fd_step: float = 1e-6
     seed: int = 0
     max_iter: int = 25000
-    patience: int = 600
-    rounds: int = 4
-    stall_tol: float = 2e-8
 
     def __post_init__(self):
-        if self.kind not in ("conjugate_gradient", "coordinate_sweep"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
 
 
 class MinimizeResult(NamedTuple):
@@ -105,25 +90,24 @@ def _propagate(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
     by layer, qubit by qubit, (theta, phi) per qubit.  The R_z(phi)R_y(theta)
     product is applied as one 2x2 gate per qubit, written out on slice
     views (cheaper than a general contraction at these sizes), and the
-    diagonal CZ chain collapses to a single sign vector per layer.
+    diagonal CZ chain collapses to a single sign vector per layer.  The
+    entries of all gates come from one vectorised pass over the whole
+    parameter array, so the gate loop only does state arithmetic.
     """
     Q, L = spec.qubits, spec.layers
     C = params.shape[0]
     cz = _cz_signs(Q)
     cz_total = cz.prod(axis=0) if cz.size else None
+    half = params / 2.0
+    cos, sin = np.cos(half[:, 0::2]), np.sin(half[:, 0::2])
+    em, ep = np.exp(-1j * half[:, 1::2]), np.exp(1j * half[:, 1::2])
+    gates = np.stack([em * cos, em * sin, ep * sin, ep * cos])[..., None, None]
     psi = np.zeros((C, 1 << Q), dtype=complex)
     psi[:, 0] = 1.0
     out = np.empty_like(psi)
     for layer in range(L + 1):
         for q in range(Q):
-            base = 2 * (layer * Q + q)
-            theta, phi = params[:, base], params[:, base + 1]
-            cos, sin = np.cos(theta / 2.0), np.sin(theta / 2.0)
-            em, ep = np.exp(-0.5j * phi), np.exp(0.5j * phi)
-            u00 = (em * cos)[:, None, None]
-            u01 = (em * sin)[:, None, None]
-            u10 = (ep * sin)[:, None, None]
-            u11 = (ep * cos)[:, None, None]
+            u00, u01, u10, u11 = gates[:, :, layer * Q + q]
             view = psi.reshape(C, 1 << (Q - 1 - q), 2, 1 << q)
             dest = out.reshape(C, 1 << (Q - 1 - q), 2, 1 << q)
             lo, hi = view[:, :, 0, :], view[:, :, 1, :]
@@ -224,39 +208,21 @@ def _params_hash(params: np.ndarray) -> str:
     return hashlib.sha256(params.tobytes()).hexdigest()[:16]
 
 
-def _sweep_once(spec, params, f, e0):
-    """One exact sequential pass over all parameters.
-
-    The energy in any single angle t is a + b*cos(t) + c*sin(t); three
-    evaluations pin the sinusoid and the minimizer is closed-form.
-    """
-    for k in range(params.size):
-        t0 = params[k]
-        up = params.copy()
-        up[k] = t0 + np.pi / 2.0
-        dn = params.copy()
-        dn[k] = t0 - np.pi / 2.0
-        ep, em = f(up), f(dn)
-        a = 0.5 * (ep + em)
-        params[k] = t0 - np.pi / 2.0 - np.arctan2(2.0 * e0 - ep - em, ep - em)
-        e0 = a - np.hypot(e0 - a, 0.5 * (ep - em))
-    return params, e0
-
-
-def _line_min(fbatch, x, d, fx, hint):
+def _line_min(fbatch, x, d, fx):
     """Batched grid line minimization along d; returns (step, energy) or None.
 
-    One coarse pass of 12 log-spaced multiples of the previous accepted
-    step, one linear refinement around the coarse winner, and a parabolic
-    polish through the refined triple.  All candidates of a pass are
-    evaluated in a single batched propagation, so the whole search costs
-    about two gradient-free energy evaluations.
+    One coarse pass of 12 log-spaced steps around the quasi-Newton step
+    length 1 (with a finer fallback pass down to 1e-7 when none of them
+    descends), one linear refinement around the coarse winner, and a
+    parabolic polish through the refined triple.  All candidates of a
+    pass are evaluated in a single batched propagation, so the whole
+    search costs about two gradient-free energy evaluations.
     """
-    steps = hint * np.geomspace(1.0 / 32.0, 4.0, 12)
+    steps = np.geomspace(1.0 / 32.0, 4.0, 12)
     vals = fbatch(x[None, :] + steps[:, None] * d[None, :])
     i = int(np.argmin(vals))
     if vals[i] >= fx:  # nothing below fx at coarse scale; probe far smaller
-        steps = hint * np.geomspace(1e-7, 1.0 / 64.0, 10)
+        steps = np.geomspace(1e-7, 1.0 / 64.0, 10)
         vals = fbatch(x[None, :] + steps[:, None] * d[None, :])
         i = int(np.argmin(vals))
         if vals[i] >= fx:
@@ -281,81 +247,24 @@ def _line_min(fbatch, x, d, fx, hint):
     return float(best_step), float(best_val)
 
 
-def _cg(x, fbatch, f, grad, cfg: OptimizerConfig, trace, it0):
-    """Polak-Ribiere conjugate gradients with a batched grid line search.
-
-    Along any fixed direction the energy is a trigonometric polynomial,
-    which interpolating line searches resolve poorly; the grid search is
-    robust to that and, being batched, costs no more than they do.
-    Returns (x, fx, iteration, reason) with reason one of "gtol" (the
-    gradient-norm target was met), "stall" (the best energy improved by
-    less than stall_tol over the last patience iterations) or "budget"
-    (max_iter exhausted).
-    """
-    fx = f(x)
-    g = grad(x)
-    d = -g
-    best_fx = fx
-    mark_fx = fx
-    hint = 1.0
-    it = it0
-    reason = "budget"
-    for local_it in range(cfg.max_iter):
-        gnorm = np.linalg.norm(g)
-        trace.append(
-            {
-                "iteration": it,
-                "energy": float(fx),
-                "gradient_norm": float(gnorm),
-                "params_hash": _params_hash(x),
-            }
-        )
-        it += 1
-        if gnorm <= cfg.cg_tol:
-            reason = "gtol"
-            break
-        if local_it and local_it % cfg.patience == 0:
-            # cumulative progress over the whole window, not per step:
-            # the crawl through an ill-conditioned valley gains little
-            # per iteration but plenty across hundreds of them
-            if mark_fx - best_fx < cfg.stall_tol:
-                reason = "stall"
-                break
-            mark_fx = best_fx
-        if g @ d >= 0.0:  # lost descent; steepest restart
-            d = -g
-        found = _line_min(fbatch, x, d, fx, hint)
-        if found is None:
-            if not np.any(d + g):  # already searching along -g; give up
-                reason = "stall"
-                break
-            d = -g
-            continue
-        hint, fx = found
-        x = x + hint * d
-        gnew = grad(x)
-        beta = max(0.0, gnew @ (gnew - g) / (g @ g))
-        d = -gnew + beta * d
-        g = gnew
-        best_fx = min(best_fx, fx)
-    return x, fx, it, reason
-
-
 def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initial=None) -> MinimizeResult:
-    """Minimize the Pauli-sum energy over the ansatz parameters.
+    """Minimize the Pauli-sum energy over the ansatz parameters by BFGS.
 
-    conjugate_gradient runs up to ``rounds`` alternations of ``sweeps``
-    sequential passes followed by a CG leg (the sweeps cut through the
-    plateaus CG stalls on); coordinate_sweep runs the sweeps alone.  A
-    conjugate_gradient run returns as soon as the gradient norm reaches
-    cg_tol, or once a whole round -- sweeps and CG leg together -- fails
-    to lower the energy by stall_tol, meaning both strategies are out of
-    resolvable descent.  The trace records (iteration, energy,
-    gradient_norm, params_hash) rows ready for JSON-lines serialization.
+    The gradient is the exact parameter-shift rule: every gate angle
+    enters the state through a half-angle rotation, so the energy is
+    a + b*cos(t) + c*sin(t) in any one angle t and
+    dE/dt_k = (E(t + pi/2 e_k) - E(t - pi/2 e_k)) / 2, all 2P shifted
+    energies coming from one batched propagation.  Steps are taken with
+    the batched grid line search; the inverse-Hessian estimate is reset
+    to the identity when its direction does not descend or the search
+    along it finds nothing, and the run returns once a search along the
+    steepest-descent direction finds nothing either.  The trace records
+    (iteration, energy, gradient_norm, params_hash) rows ready for
+    JSON-lines serialization.
 
     Raises StalledOptimization -- carrying the best parameters, energy
-    and trace -- when the rounds budget runs out while the energy is
-    still moving, i.e. the run was cut off rather than finished.
+    and trace -- when max_iter iterations pass without that happening,
+    i.e. the run was cut off rather than finished.
     """
     if spec.qubits != c.qubits:
         raise SpecMismatch(f"ansatz on {spec.qubits} qubits, coefficients on {c.qubits}")
@@ -367,54 +276,49 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
         if x.shape != (spec.n_params,):
             raise ParamLengthMismatch(f"initial {x.shape} vs ({spec.n_params},)")
     H = reconstruct(c)
+    P = spec.n_params
+    shifts = np.concatenate([np.eye(P), -np.eye(P)]) * (np.pi / 2.0)
 
     def fbatch(batch):
         psi = _propagate(spec, batch)
-        return np.einsum("ci,ij,cj->c", psi.conj(), H, psi).real
-
-    def f(p):
-        return float(fbatch(p[None, :])[0])
+        return ((psi.conj() @ H) * psi).sum(axis=1).real
 
     def grad(p):
-        P = p.size
-        batch = np.repeat(p[None, :], 2 * P, axis=0)
-        idx = np.arange(P)
-        batch[idx, idx] += cfg.fd_step
-        batch[P + idx, idx] -= cfg.fd_step
-        vals = fbatch(batch)
-        return (vals[:P] - vals[P:]) / (2.0 * cfg.fd_step)
+        vals = fbatch(p[None, :] + shifts)
+        return 0.5 * (vals[:P] - vals[P:])
 
+    fx = float(fbatch(x[None, :])[0])
+    g = grad(x)
+    hinv = np.eye(P)
     trace: list = []
-    fx = f(x)
-    it = 0
-    if cfg.kind == "coordinate_sweep":
-        for _ in range(cfg.sweeps):
-            x, fx = _sweep_once(spec, x, f, fx)
-            trace.append(
-                {
-                    "iteration": it,
-                    "energy": float(fx),
-                    "gradient_norm": float(np.linalg.norm(grad(x))),
-                    "params_hash": _params_hash(x),
-                }
-            )
-            it += 1
-        return MinimizeResult(x, f(x), trace)
-
-    for _ in range(cfg.rounds):
-        round_start = fx
-        for _ in range(cfg.sweeps):
-            x, fx = _sweep_once(spec, x, f, fx)
-        x, fx, it, reason = _cg(x, fbatch, f, grad, cfg, trace, it)
-        if reason == "gtol":
-            return MinimizeResult(x, f(x), trace)
-        if reason == "stall" and round_start - fx < cfg.stall_tol:
-            return MinimizeResult(x, f(x), trace)
+    for it in range(cfg.max_iter):
+        gnorm = float(np.linalg.norm(g))
+        trace.append({"iteration": it, "energy": fx, "gradient_norm": gnorm, "params_hash": _params_hash(x)})
+        d = -hinv @ g
+        if g @ d >= 0.0:  # lost descent; fall back to steepest descent
+            hinv = np.eye(P)
+            d = -g
+        found = _line_min(fbatch, x, d, fx)
+        if found is None:
+            if not np.any(d + g):  # already searching along -g: converged
+                return MinimizeResult(x, fx, trace)
+            hinv = np.eye(P)
+            continue
+        step, fx = found
+        s = step * d
+        x = x + s
+        gnew = grad(x)
+        y = gnew - g
+        g = gnew
+        sy = s @ y
+        if sy > 0.0:  # BFGS update, skipped where the curvature condition fails
+            hy = hinv @ y
+            hinv += ((sy + y @ hy) * np.outer(s, s) / sy - np.outer(s, hy) - np.outer(hy, s)) / sy
     raise StalledOptimization(
-        f"energy still moving after {cfg.rounds} rounds "
-        f"(gradient norm {np.linalg.norm(grad(x)):.3e}, tol {cfg.cg_tol:.1e})",
+        f"no convergence within max_iter={cfg.max_iter} iterations "
+        f"(gradient norm {np.linalg.norm(g):.3e})",
         params=x,
-        energy=f(x),
+        energy=fx,
         trace=trace,
     )
 

@@ -17,6 +17,7 @@ from zetavac.errors import (
     DenominatorNearZero,
     DimensionMismatch,
     NonPositiveSpectrum,
+    SingularFunctionValue,
 )
 from zetavac.gauge import (
     ZetaRatioSample,
@@ -250,6 +251,13 @@ class TestDenominatorZeroScan:
         grid = ZGrid(points=[1.0, 2.0, 3.0, 4.0, 5.0])
         zeros = denominator_zero_scan(H, grid)
         assert zeros.tolist() == [4.0, 5.0]
+
+    def test_non_finite_denominator_raises(self):
+        # lambda_max^120 overflows at n = 64: the scan must not read the
+        # resulting inf/NaN denominator as "no zero"
+        grid = ZGrid(points=[0.0, 120.0])
+        with pytest.raises(SingularFunctionValue, match="120"):
+            denominator_zero_scan(hydrogen_matrix(64), grid)
 
     def test_hydrogen_grid_is_clean(self):
         re = np.linspace(-3.0, 1.0, 41)
