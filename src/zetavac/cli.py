@@ -218,11 +218,10 @@ def _write_json(path, cfg_hash, payload: dict):
         fh.write("\n")
 
 
-def _hydrogen_energies(dims, params):
-    out = []
-    for n in dims:
-        out.append(vacuum_state(hydrogen_matrix(n, params)).energy)
-    return out
+# --check bound on every vacuum's ||H psi - E psi||_2 / max|H|.  The subset
+# eigensolve reaches at most 5.2e-16 on the hydrogen matrices up to
+# n = 4096, so a value above this bound is a solver failure, not rounding.
+_VACUUM_RESIDUAL_BOUND = 1e-12
 
 
 def cmd_hydrogen_convergence(cfg, out_dir, check) -> int:
@@ -237,8 +236,9 @@ def cmd_hydrogen_convergence(cfg, out_dir, check) -> int:
         ref_dim, expected_rate = 1 << cfg["q_ref"], 1.92
     else:
         raise ConfigError(f"mode must be 'dimension' or 'qubits', got {cfg['mode']!r}")
-    energies = _hydrogen_energies(dims, params)
-    reference = vacuum_state(hydrogen_matrix(ref_dim, params)).energy
+    vacua = [vacuum_state(hydrogen_matrix(n, params)) for n in dims + [ref_dim]]
+    energies = [v.energy for v in vacua[:-1]]
+    reference = vacua[-1].energy
     series = ConvergenceSeries(np.array(abscissa), np.array(energies), reference)
     errs = relative_errors(series)
     cfg_hash = _config_hash(cfg)
@@ -265,6 +265,12 @@ def cmd_hydrogen_convergence(cfg, out_dir, check) -> int:
         fit = None
     _write_json(os.path.join(out_dir, "fit.json"), cfg_hash, fit_payload)
     if check:
+        worst = max(vacua, key=lambda v: v.residual)
+        if worst.residual > _VACUUM_RESIDUAL_BOUND:
+            raise CheckFailure(
+                f"vacuum residual {worst.residual:.3e} at n={worst.n} "
+                f"above {_VACUUM_RESIDUAL_BOUND:.0e}"
+            )
         if fit is None:
             raise CheckFailure("no exponential fit available")
         if abs(fit.rate - expected_rate) > 0.15 * expected_rate:

@@ -6,14 +6,7 @@ class NonHermitianInput(ValueError):
 
 
 class ConvergenceFailure(RuntimeError):
-    """An iterative solver exhausted its iteration budget.
-
-    Carries the last residual in ``residual`` when available.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """An eigensolver failed to converge."""
 
 
 class SingularFunctionValue(ValueError):

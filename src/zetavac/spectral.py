@@ -1,8 +1,8 @@
 """Dense Hermitian spectral tools.
 
 Eigendecomposition with a deterministic eigenvector phase convention,
-matrix functions through the functional calculus, a Lanczos iteration
-for the smallest eigenpair, and (optionally damped) unitary evolution
+a subset eigensolve for the smallest eigenpair, matrix functions through
+the functional calculus, and (optionally damped) unitary evolution
 operators built from the spectrum.
 """
 from __future__ import annotations
@@ -35,11 +35,14 @@ def require_hermitian(M, tol: float = 1e-12) -> np.ndarray:
 
     The tolerance is relative to the largest entry magnitude, so matrices
     assembled from floating-point arithmetic pass as long as their
-    asymmetry is at rounding level.
+    asymmetry is at rounding level.  NaN or infinite entries are rejected,
+    since no symmetry test can hold on them.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise NonHermitianInput("matrix has non-finite entries")
     scale = np.abs(M).max() if M.size else 0.0
     dev = np.abs(M - M.conj().T).max()
     if dev > tol * max(scale, 1e-300):
@@ -92,94 +95,26 @@ def eig_hermitian(M) -> EigenSystem:
     return EigenSystem(vals, _fix_phases(vecs))
 
 
-def smallest_eigenpair(
-    M,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    seed: int = 0,
-) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and eigenvector via Lanczos iteration.
+def smallest_eigenpair(M) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue and eigenvector of a Hermitian matrix.
 
-    Full reorthogonalization is applied at every step, so the method is
-    reliable (if memory-hungry) up to a few thousand dimensions.  The
-    iteration stops once the Ritz residual drops below ``tol * max|M|``;
-    because the basis is kept orthonormal it terminates after at most
-    ``dim`` steps with the exact answer up to rounding.
+    One LAPACK subset eigensolve: ``scipy.linalg.eigh`` with
+    ``subset_by_index=[0, 0]`` reduces to tridiagonal form and computes
+    only the lowest eigenpair.  The eigenvector carries the same phase
+    convention as ``eig_hermitian``.
 
     Returns
     -------
     (value, vector)
         The eigenvalue and a unit-norm, phase-fixed eigenvector.
-
-    Raises
-    ------
-    ConvergenceFailure
-        If the residual target is still unmet when the iteration budget
-        (default: the dimension) is exhausted.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     M = require_hermitian(M)
-    n = M.shape[0]
-    scale = max(np.abs(M).max(), 1e-300)
-    if n == 1:
-        return float(M[0, 0].real), np.ones(1, dtype=complex)
-
-    m_max = n if max_iter is None else min(max_iter, n)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-
-    V = np.empty((m_max, n), dtype=complex)
-    alpha = np.empty(m_max)
-    beta = np.empty(m_max)
-    V[0] = v
-    target = tol * scale
-    m = 0
-    for j in range(m_max):
-        w = M @ V[j]
-        alpha[j] = np.real(np.vdot(V[j], w))
-        w -= alpha[j] * V[j]
-        if j > 0:
-            w -= beta[j - 1] * V[j - 1]
-        # Full reorthogonalization, twice for good measure.  The inner
-        # products are computed as conj(V w*) so the big basis slice is
-        # never copied, only the length-n work vector.
-        for _ in range(2):
-            coeffs = (V[: j + 1] @ w.conj()).conj()
-            w -= V[: j + 1].T @ coeffs
-        beta[j] = np.linalg.norm(w)
-        m = j + 1
-        if beta[j] <= 1e-14 * scale:
-            break  # invariant subspace found; Ritz values are exact
-        if m == m_max:
-            break
-        if m % 10 == 0 and _ritz_residual(alpha[:m], beta[: m - 1], beta[j]) <= target:
-            break
-        V[j + 1] = w / beta[j]
-
-    theta, s = _smallest_ritz(alpha[:m], beta[: m - 1])
-    vec = V[:m].T @ s
-    vec /= np.linalg.norm(vec)
-    residual = np.linalg.norm(M @ vec - theta * vec)
-    if residual > target:
-        raise ConvergenceFailure(
-            f"Lanczos residual {residual:.3e} above target {target:.3e} "
-            f"after {m} iterations",
-            residual=residual,
-        )
-    vec = _fix_phases(vec[:, None])[:, 0]
-    return float(theta), vec
-
-
-def _smallest_ritz(alpha, beta):
-    vals, vecs = scipy.linalg.eigh_tridiagonal(alpha, beta, select="i", select_range=(0, 0))
-    return float(vals[0]), vecs[:, 0]
-
-
-def _ritz_residual(alpha, beta, beta_last):
-    _, s = _smallest_ritz(alpha, beta)
-    return abs(beta_last * s[-1])
+    try:
+        # require_hermitian has already rejected non-finite entries
+        vals, vecs = scipy.linalg.eigh(M, subset_by_index=[0, 0], check_finite=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise ConvergenceFailure(f"subset eigensolver did not converge: {exc}") from exc
+    return float(vals[0]), _fix_phases(vecs)[:, 0]
 
 
 def matrix_function(E: EigenSystem, f: Callable[[float], complex]) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, GridTooSmall, HermiticityViolation, NonHermitianInput
-from .spectral import eig_hermitian, require_hermitian, smallest_eigenpair
+from .spectral import smallest_eigenpair
 
 __all__ = [
     "mode_of_index",
@@ -29,10 +29,6 @@ __all__ = [
     "strong_convergence_probe",
     "schatten_convergence_probe",
 ]
-
-# Dense eigendecomposition below this size, Lanczos above.
-_DENSE_CUTOFF = 512
-
 
 def mode_of_index(j: int) -> int:
     """Fourier mode sitting at ordered position ``j``.
@@ -75,11 +71,16 @@ class SobolevWeight:
 
 @dataclass(frozen=True)
 class DiscretizedVacuum:
-    """Ground state of a truncated Hamiltonian."""
+    """Ground state of a truncated Hamiltonian.
+
+    ``residual`` is ``||H state - energy * state||_2 / max|H|``.  Since
+    ``max|H| <= ||H||_2`` it bounds the usual relative residual from above.
+    """
 
     n: int
     energy: float
     state: np.ndarray
+    residual: float
 
     def __post_init__(self):
         state = np.asarray(self.state, dtype=complex)
@@ -122,24 +123,12 @@ def project_operator(element, n: int, check_pairs: int = 8) -> np.ndarray:
     return M
 
 
-def vacuum_state(H, solver: str = "auto", tol: float = 1e-12) -> DiscretizedVacuum:
-    """Ground-state energy and vector of a truncated Hamiltonian.
-
-    Small problems go through the dense eigendecomposition; large ones
-    (above 512) use the Lanczos iteration.  Both paths return the same
-    phase convention.
-    """
-    H = require_hermitian(H)
-    n = H.shape[0]
-    if solver == "auto":
-        solver = "dense" if n <= _DENSE_CUTOFF else "lanczos"
-    if solver == "dense":
-        E = eig_hermitian(H)
-        return DiscretizedVacuum(n, float(E.eigenvalues[0]), E.vectors[:, 0])
-    if solver == "lanczos":
-        val, vec = smallest_eigenpair(H, tol=tol)
-        return DiscretizedVacuum(n, val, vec)
-    raise ValueError(f"unknown solver {solver!r}")
+def vacuum_state(H) -> DiscretizedVacuum:
+    """Ground-state energy, vector and residual of a truncated Hamiltonian."""
+    energy, state = smallest_eigenpair(H)
+    H = np.asarray(H, dtype=complex)
+    residual = np.linalg.norm(H @ state - energy * state) / max(np.abs(H).max(), 1e-300)
+    return DiscretizedVacuum(H.shape[0], energy, state, float(residual))
 
 
 def expectation(state, A) -> float:

@@ -1,12 +1,13 @@
 """Tests for the command-line driver: config handling, outputs, exit codes."""
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from zetavac import __version__
+from zetavac import __version__, cli
 from zetavac.cli import ConfigError, build_parser, main, parse_config_text
 from zetavac.models import HydrogenParams, hydrogen_matrix
 from zetavac.pauli import decompose
@@ -179,6 +180,16 @@ class TestHydrogenConvergenceCommand:
         )
         assert code == 4
         assert "check failed" in err
+
+    def test_large_vacuum_residual_fails_check(self, tmp_path, capsys, monkeypatch):
+        solve = cli.vacuum_state
+        monkeypatch.setattr(
+            cli, "vacuum_state",
+            lambda H: dataclasses.replace(solve(H), residual=1e-9) if len(H) == 16 else solve(H),
+        )
+        code, _, err = self.run_small(tmp_path, capsys, extra=["--check"])
+        assert code == 4
+        assert "vacuum residual 1.000e-09 at n=16 above 1e-12" in err
 
     def test_qubit_mode(self, tmp_path, capsys):
         code, _, _ = run_cli(

@@ -17,7 +17,7 @@ from zetavac.truncation import (
     zero_pad,
 )
 
-from conftest import random_hermitian
+from conftest import assert_same_ground_pair, random_hermitian
 
 
 def test_mode_ordering_first_eight():
@@ -57,12 +57,27 @@ def test_project_operator_rejects_asymmetric_element():
         project_operator(bad, 6)
 
 
-def test_vacuum_dense_and_lanczos_agree():
-    H = hydrogen_matrix(80)
-    dense = vacuum_state(H, solver="dense")
-    lanc = vacuum_state(H, solver="lanczos", tol=1e-12)
-    assert dense.energy == pytest.approx(lanc.energy, abs=1e-10)
-    assert abs(np.vdot(dense.state, lanc.state)) == pytest.approx(1.0, abs=1e-8)
+@pytest.mark.parametrize(
+    "kind,n",
+    # hydrogen 80 and 513 sit on both sides of n = 512, where a second
+    # ground-state solver once took over
+    [("random", 1), ("random", 3), ("random", 40), ("random", 200), ("hydrogen", 80), ("hydrogen", 513)],
+)
+def test_vacuum_matches_full_eigensolvers(kind, n):
+    H = random_hermitian(n, seed=n) if kind == "random" else hydrogen_matrix(n)
+    vac = vacuum_state(H)
+    assert_same_ground_pair(vac.energy, vac.state, H)
+    r = np.linalg.norm(H @ vac.state - vac.energy * vac.state) / np.abs(H).max()
+    assert vac.residual == pytest.approx(r, rel=1e-12)
+    assert vac.residual < 1e-13
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_vacuum_rejects_non_finite_matrix(bad):
+    H = hydrogen_matrix(6)
+    H[1, 2] = H[2, 1] = bad
+    with pytest.raises(NonHermitianInput, match="non-finite"):
+        vacuum_state(H)
 
 
 def test_vacuum_energy_monotone_in_dimension():
