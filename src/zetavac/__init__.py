@@ -40,8 +40,6 @@ from .pauli import (
 from .spectral import (
     EigenSystem,
     eig_hermitian,
-    evolution_operator,
-    matrix_function,
     require_hermitian,
     smallest_eigenpair,
 )

@@ -324,7 +324,7 @@ def cmd_zeta(cfg, out_dir, check) -> int:
     grid = ZGrid(np.array([re + 1j * im for re in z_re for im in z_im]))
     cfg_hash = _config_hash(cfg)
 
-    rows = []
+    rows, off_identity = [], []
     for n in cfg["n_list"]:
         H = hydrogen_matrix(n, params)
         if cfg["observable"] == "hamiltonian":
@@ -334,9 +334,13 @@ def cmd_zeta(cfg, out_dir, check) -> int:
         else:
             raise ConfigError(f"observable must be hamiltonian or position, got {cfg['observable']!r}")
         system = eig_hermitian(H)
+        psi = system.vectors[:, 0]
+        direct = complex(np.vdot(psi, A @ psi))
         for z in grid.points:
             try:
                 s = gauge_ratio(H, A, z, system=system)
+                if abs(s.ratio - direct) > 1e-9 * abs(direct):
+                    off_identity.append((n, complex(z)))
                 rows.append(
                     (n, float(z.real), float(z.imag), float(s.ratio.real),
                      float(s.ratio.imag), float(abs(s.denominator)), 0)
@@ -380,6 +384,9 @@ def cmd_zeta(cfg, out_dir, check) -> int:
     }
     _write_json(os.path.join(out_dir, "freefield.json"), cfg_hash, payload)
     if check:
+        if off_identity:
+            n, z = off_identity[0]
+            raise CheckFailure(f"R(z) differs from <psi, A psi> by more than 1e-9 at n={n}, z={z}")
         if max_rel > 1e-12:
             raise CheckFailure(f"free-field identity error {max_rel:.3e} above 1e-12")
         if abs(slope + 1.0) > 0.01:

@@ -3,6 +3,8 @@
 Everything here evaluates variants of <psi, H^z A psi> / <psi, H^z psi>
 on finite grids: the pointwise ratio, a sweep over grid sizes, the
 time-damped trace version, and a scan for zeros of the denominator.
+No H^z is formed: each is a spectral sum sum_j lambda_j^z w_j in the
+eigenbasis of H, evaluated by one function for all of them.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from .errors import (
     NonPositiveSpectrum,
     SingularFunctionValue,
 )
-from .spectral import EigenSystem, eig_hermitian, matrix_function
+from .spectral import EigenSystem, eig_hermitian
 from .truncation import project_operator
 
 __all__ = [
@@ -75,13 +77,47 @@ def _ground_state(system: EigenSystem):
     return system.vectors[:, 0]
 
 
+def _spectral_sums(lam: np.ndarray, zs, W: np.ndarray) -> np.ndarray:
+    """Sums sum_j lam_j^z W[j, k], one row per z in ``zs``, one column per k."""
+    zs = np.asarray(zs, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.exp(np.outer(zs, np.log(lam))) @ W
+    bad = ~np.isfinite(sums).all(axis=1)
+    if bad.any():
+        raise SingularFunctionValue(f"non-finite spectral sum at z = {zs[bad][0]}")
+    return sums
+
+
+def _ground_coefficients(system: EigenSystem, zs):
+    """psi and c = V^dagger psi, which is e_0 up to rounding.
+
+    Raises SingularFunctionValue at the first z where lambda^z lifts that
+    rounding: past sum_{j>0} |c_j| (lambda_j / lambda_0)^Re z / |c_0| = 1e-9
+    the spectral sums return amplified rounding, not the ratio.
+    """
+    psi = _ground_state(system)
+    c = (psi.conj() @ system.vectors).conj()  # V^dagger psi without copying V
+    lam, zs = system.eigenvalues, np.asarray(zs, dtype=complex)
+    # exponents in log space, clipped at 0: a clipped term alone puts the sum
+    # past 1 + 1e-9, and exact zeros in c (log 0 = -inf) add nothing
+    with np.errstate(divide="ignore"):
+        log_c = np.log(np.abs(c / c[0]))
+    terms = np.exp(np.minimum(log_c + np.outer(zs.real, np.log(lam / lam[0])), 0.0))
+    bad = terms.sum(axis=1) - 1.0 > 1e-9
+    if bad.any():
+        raise SingularFunctionValue(
+            f"lambda^z amplifies eigenvector rounding above 1e-9 at z = {zs[bad][0]}"
+        )
+    return psi, c
+
+
 def gauge_ratio(H, A, z: complex, system: EigenSystem | None = None) -> ZetaRatioSample:
     """Regularized ground-state expectation of A in the gauge H^z.
 
     ``system`` may carry a precomputed eigendecomposition of H so that
-    scans over many z points factorize H only once.  At z = 0 the ratio
-    reduces to the plain ground-state expectation through the identical
-    code path (H^0 is assembled like any other power).
+    scans over many z points factorize H only once.  With c = V^dagger psi
+    and d = V^dagger A psi the ratio is sum_j conj(c_j) lambda_j^z d_j /
+    sum_j |c_j|^2 lambda_j^z; large Re z raises SingularFunctionValue.
     """
     A = np.asarray(A, dtype=complex)
     if system is None:
@@ -89,10 +125,10 @@ def gauge_ratio(H, A, z: complex, system: EigenSystem | None = None) -> ZetaRati
     if A.shape != (system.dim, system.dim):
         raise DimensionMismatch(f"operator {A.shape} vs Hamiltonian dim {system.dim}")
     z = complex(z)
-    psi = _ground_state(system)
-    G = matrix_function(system, lambda lam: np.exp(z * np.log(lam)))
-    num = complex(np.vdot(psi, G @ (A @ psi)))
-    den = complex(np.vdot(psi, G @ psi))
+    psi, c = _ground_coefficients(system, [z])
+    d = ((A @ psi).conj() @ system.vectors).conj()
+    weights = np.stack([c.conj() * d, np.abs(c) ** 2], axis=1)
+    num, den = map(complex, _spectral_sums(system.eigenvalues, [z], weights)[0])
     if abs(den) < 1e-12:
         raise DenominatorNearZero(f"|denominator| = {abs(den):.3e} at z = {z}")
     return ZetaRatioSample(z=z, numerator=num, denominator=den, ratio=num / den)
@@ -168,11 +204,12 @@ def damped_trace_ratio(
     # Work in the eigenbasis and pull the common ground-state evolution
     # factor out of both traces; it cancels exactly in the ratio and
     # keeps the terms representable for arbitrarily large eps*T.
-    weights = np.exp(-1j * (1.0 - 1j * eps) * T * (lam - lam[0]) + z * np.log(lam))
+    tau = np.exp(-1j * (1.0 - 1j * eps) * T * (lam - lam[0]))
     diag_a = np.einsum("ij,ji->i", system.vectors.conj().T, A @ system.vectors)
-    num = complex(np.sum(weights * diag_a))
-    den = complex(np.sum(weights))
-    if abs(den) < 1e-12 * np.abs(weights).sum():
+    # the sum at Re z over |tau| is the scale sum_j |tau_j lambda_j^z|
+    sums = _spectral_sums(lam, [z, z.real], np.stack([tau * diag_a, tau, np.abs(tau)], axis=1))
+    num, den, scale = complex(sums[0, 0]), complex(sums[0, 1]), sums[1, 2].real
+    if abs(den) < 1e-12 * scale:
         raise DenominatorNearZero(f"|trace denominator| = {abs(den):.3e} at T = {T}")
     return num / den
 
@@ -184,17 +221,10 @@ def denominator_zero_scan(H, grid: ZGrid, system: EigenSystem | None = None) -> 
     which is the same quantity gauge_ratio divides by.  Returns the
     subset of grid points with |denominator| < 1e-10; raises
     SingularFunctionValue, naming the first such z, when a denominator
-    is not finite (lambda^z overflows for large Re z).
+    is not finite or is amplified rounding (large Re z).
     """
     if system is None:
         system = eig_hermitian(H)
-    psi = _ground_state(system)
-    w = np.abs(system.vectors.conj().T @ psi) ** 2
-    log_lam = np.log(system.eigenvalues)
-    pts = grid.points
-    with np.errstate(over="ignore", invalid="ignore"):
-        den = np.array([np.sum(w * np.exp(z * log_lam)) for z in pts])
-    bad = ~np.isfinite(den)
-    if bad.any():
-        raise SingularFunctionValue(f"non-finite denominator at z = {pts[bad][0]}")
-    return pts[np.abs(den) < 1e-10]
+    _, c = _ground_coefficients(system, grid.points)
+    den = _spectral_sums(system.eigenvalues, grid.points, np.abs(c)[:, None] ** 2)[:, 0]
+    return grid.points[np.abs(den) < 1e-10]

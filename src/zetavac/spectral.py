@@ -1,32 +1,24 @@
 """Dense Hermitian spectral tools.
 
-Eigendecomposition with a deterministic eigenvector phase convention,
-a subset eigensolve for the smallest eigenpair, matrix functions through
-the functional calculus, and (optionally damped) unitary evolution
-operators built from the spectrum.
+Hermitian-input validation, eigendecomposition with a deterministic
+eigenvector phase convention, and a subset eigensolve for the smallest
+eigenpair.  Functions of an operator (H^z, damped evolution) are never
+assembled as matrices: ``gauge`` evaluates them as sums over the spectrum.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    NonHermitianInput,
-    SingularFunctionValue,
-)
+from .errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 
 __all__ = [
     "EigenSystem",
     "require_hermitian",
     "eig_hermitian",
     "smallest_eigenpair",
-    "matrix_function",
-    "evolution_operator",
 ]
 
 
@@ -116,35 +108,3 @@ def smallest_eigenpair(M) -> tuple[float, np.ndarray]:
         raise ConvergenceFailure(f"subset eigensolver did not converge: {exc}") from exc
     return float(vals[0]), _fix_phases(vecs)[:, 0]
 
-
-def matrix_function(E: EigenSystem, f: Callable[[float], complex]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian operator through its spectrum.
-
-    Returns ``V diag(f(lambda)) V^dagger``.  ``f`` is evaluated once per
-    eigenvalue and must be finite on all of them.
-    """
-    vals = np.array([f(x) for x in E.eigenvalues], dtype=complex)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        where = E.eigenvalues[bad][:3]
-        raise SingularFunctionValue(f"f is non-finite at eigenvalue(s) {where}")
-    return (E.vectors * vals) @ E.vectors.conj().T
-
-
-def evolution_operator(E: EigenSystem, T: float, eps: float = 0.0) -> np.ndarray:
-    """Evolution operator ``exp(-i (1 - i eps) T H)`` from a spectrum.
-
-    With ``eps = 0`` this is the unitary time evolution; ``eps > 0`` damps
-    high-energy contributions so that long-time traces are dominated by the
-    bottom of the spectrum.
-    """
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    lam = E.eigenvalues
-    # The real part of the exponent is -eps*T*lambda; it only overflows
-    # when that is large and positive (negative spectrum, or negative T).
-    growth = max(-eps * T * lam.min(), -eps * T * lam.max()) if lam.size else 0.0
-    if growth > 700.0:
-        raise OverflowError(f"damping exponent {growth:.1f} exceeds 700")
-    phases = np.exp(-1j * (1.0 - 1j * eps) * T * lam)
-    return (E.vectors * phases) @ E.vectors.conj().T

@@ -125,9 +125,13 @@ def project_operator(element, n: int, check_pairs: int = 8) -> np.ndarray:
 
 def vacuum_state(H) -> DiscretizedVacuum:
     """Ground-state energy, vector and residual of a truncated Hamiltonian."""
-    energy, state = smallest_eigenpair(H)
+    _, state = smallest_eigenpair(H)
     H = np.asarray(H, dtype=complex)
-    residual = np.linalg.norm(H @ state - energy * state) / max(np.abs(H).max(), 1e-300)
+    h_state = H @ state
+    # the Rayleigh quotient is exact to rounding; LAPACK's eigenvalue is
+    # off by about eps * ||H||, which grows like n^2
+    energy = float(np.vdot(state, h_state).real)
+    residual = np.linalg.norm(h_state - energy * state) / max(np.abs(H).max(), 1e-300)
     return DiscretizedVacuum(H.shape[0], energy, state, float(residual))
 
 

@@ -377,6 +377,31 @@ class TestZetaCommand:
         code, _, _ = run_cli(["zeta", "--out", str(tmp_path), "--check"] + self.SMALL, capsys)
         assert code == 0
 
+    def test_check_fails_when_ratio_leaves_expectation(self, tmp_path, capsys, monkeypatch):
+        ratio = cli.gauge_ratio
+
+        def perturbed(*args, **kwargs):
+            s = ratio(*args, **kwargs)
+            scale = 1.0 + 1e-6
+            return dataclasses.replace(s, numerator=s.numerator * scale, ratio=s.ratio * scale)
+
+        monkeypatch.setattr(cli, "gauge_ratio", perturbed)
+        code, _, err = run_cli(["zeta", "--out", str(tmp_path), "--check"] + self.SMALL, capsys)
+        assert code == 4
+        assert "differs from <psi, A psi> by more than 1e-9" in err
+
+    def test_amplified_rounding_exits_3(self, tmp_path, capsys):
+        # at n = 64, lambda^5 lifts eigenvector rounding to a 2e-2 error
+        # in the ratio; the run must fail instead of writing it
+        code, _, err = run_cli(
+            ["zeta", "--out", str(tmp_path)] + self.SMALL
+            + ["--set", "n_list=[64]", "--set", "observable=position",
+               "--set", "z_re_min=5", "--set", "z_re_max=5"],
+            capsys,
+        )
+        assert code == 3
+        assert "SingularFunctionValue" in err and "z = (5+0j)" in err
+
     def test_bad_observable_exits_2(self, tmp_path, capsys):
         code, _, _ = run_cli(
             ["zeta", "--out", str(tmp_path), "--set", "observable=momentum"] + self.SMALL,

@@ -27,7 +27,7 @@ from zetavac.gauge import (
     gauge_ratio,
     ratio_convergence_scan,
 )
-from zetavac.models import hydrogen_element, hydrogen_matrix, position_element
+from zetavac.models import hydrogen_element, hydrogen_matrix, position_element, position_matrix
 from zetavac.spectral import eig_hermitian
 from zetavac.truncation import project_operator
 
@@ -78,25 +78,24 @@ class TestGaugeRatio:
 
     def test_matches_fractional_power_oracle(self):
         # real z: scipy's fractional matrix power is an independent route
-        H = _hpd(7, 4)
-        A = _hpd(7, 5)
-        system = eig_hermitian(H)
-        psi = system.vectors[:, 0]
-        for z in (0.7, -1.3):
-            G = scipy.linalg.fractional_matrix_power(H, z)
+        for H, A in ((_hpd(7, 4), _hpd(7, 5)), (hydrogen_matrix(64), position_matrix(64))):
+            system = eig_hermitian(H)
+            psi = system.vectors[:, 0]
+            for z in (0.7, -1.3):
+                G = scipy.linalg.fractional_matrix_power(H, z)
+                want = np.vdot(psi, G @ A @ psi) / np.vdot(psi, G @ psi)
+                got = gauge_ratio(H, A, z, system=system).ratio
+                assert got == pytest.approx(want, rel=1e-10)
+
+    def test_matches_expm_logm_oracle_complex_z(self):
+        for H, A in ((_hpd(6, 6), _hpd(6, 7)), (hydrogen_matrix(64), position_matrix(64))):
+            system = eig_hermitian(H)
+            psi = system.vectors[:, 0]
+            z = 0.4 - 0.8j
+            G = scipy.linalg.expm(z * scipy.linalg.logm(H))
             want = np.vdot(psi, G @ A @ psi) / np.vdot(psi, G @ psi)
             got = gauge_ratio(H, A, z, system=system).ratio
             assert got == pytest.approx(want, rel=1e-10)
-
-    def test_matches_expm_logm_oracle_complex_z(self):
-        H = _hpd(6, 6)
-        A = _hpd(6, 7)
-        system = eig_hermitian(H)
-        psi = system.vectors[:, 0]
-        z = 0.4 - 0.8j
-        G = scipy.linalg.expm(z * scipy.linalg.logm(H))
-        want = np.vdot(psi, G @ A @ psi) / np.vdot(psi, G @ psi)
-        assert gauge_ratio(H, A, z, system=system).ratio == pytest.approx(want, rel=1e-10)
 
     def test_ratio_independent_of_z(self):
         # psi is an eigenvector of H, so H^z acts on it as a scalar that
@@ -130,6 +129,27 @@ class TestGaugeRatio:
         H = np.diag([math.e, 7.0]).astype(complex)
         with pytest.raises(DenominatorNearZero):
             gauge_ratio(H, np.eye(2), -30.0)
+
+    def test_amplified_rounding_raises(self):
+        # at n = 64, lambda^5 lifts the rounding in V^dagger psi to a 2e-2
+        # relative error in the ratio: raise instead of returning it
+        with pytest.raises(SingularFunctionValue, match=r"z = \(5\+0j\)"):
+            gauge_ratio(hydrogen_matrix(64), position_matrix(64), 5.0)
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_large_re_z_raises_or_matches_expectation(self, n):
+        H, X = hydrogen_matrix(n), position_matrix(n)
+        system = eig_hermitian(H)
+        psi = system.vectors[:, 0]
+        for A in (H, X):
+            direct = np.vdot(psi, A @ psi)
+            for z in (np.arange(0.0, 6.01, 0.5)[:, None] + [0.0, 0.5j]).ravel():
+                try:
+                    ratio = gauge_ratio(H, A, z, system=system).ratio
+                except SingularFunctionValue:
+                    assert z.real > 0.5, f"raised at z = {z}"
+                    continue
+                assert abs(ratio - direct) <= 1e-9 * abs(direct), f"z = {z}"
 
     def test_nonpositive_spectrum_raises(self):
         H = np.diag([-1.0, 2.0]).astype(complex)
@@ -258,6 +278,18 @@ class TestDenominatorZeroScan:
         grid = ZGrid(points=[0.0, 120.0])
         with pytest.raises(SingularFunctionValue, match="120"):
             denominator_zero_scan(hydrogen_matrix(64), grid)
+
+    def test_amplified_rounding_raises(self):
+        # the true |den| = lambda_0^20 = 9.5e-14 is a zero by the 1e-10
+        # rule, but the computed sum is amplified rounding (9e29)
+        with pytest.raises(SingularFunctionValue, match=r"z = \(20\+0j\)"):
+            denominator_zero_scan(hydrogen_matrix(64), ZGrid(points=[0.0, 20.0]))
+
+    def test_exact_ground_state_never_trips_rounding_guard(self):
+        # c = e_0 exactly: its zero terms must not count, even where
+        # (lambda_1 / lambda_0)^100 = 2000^100 overflows
+        H = np.diag([1e-3, 2.0]).astype(complex)
+        assert denominator_zero_scan(H, ZGrid(points=[100.0])).tolist() == [100.0]
 
     def test_hydrogen_grid_is_clean(self):
         re = np.linspace(-3.0, 1.0, 41)

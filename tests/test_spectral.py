@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
-from zetavac.errors import (
-    DimensionMismatch,
-    NonHermitianInput,
-    SingularFunctionValue,
-)
+from zetavac.errors import DimensionMismatch, NonHermitianInput
 from zetavac.spectral import (
     EigenSystem,
     eig_hermitian,
-    evolution_operator,
-    matrix_function,
     require_hermitian,
     smallest_eigenpair,
 )
@@ -95,58 +88,3 @@ def test_non_finite_matrix_rejected(solve, bad):
     with pytest.raises(NonHermitianInput, match="non-finite"):
         solve([[1.0, bad], [bad, 2.0]])
 
-
-def test_matrix_function_square_oracle():
-    M = random_hermitian(35, seed=3)
-    E = eig_hermitian(M)
-    sq = matrix_function(E, lambda x: x * x)
-    assert np.abs(sq - M @ M).max() < 1e-11 * max(1.0, np.abs(M @ M).max())
-
-
-def test_matrix_function_exp_matches_scipy():
-    M = random_hermitian(20, seed=4)
-    E = eig_hermitian(M)
-    ours = matrix_function(E, np.exp)
-    ref = scipy.linalg.expm(M)
-    assert np.abs(ours - ref).max() < 1e-10 * np.abs(ref).max()
-
-
-def test_matrix_function_identity_at_zero_power():
-    M = random_hermitian(10, seed=6) + 20.0 * np.eye(10)  # positive spectrum
-    E = eig_hermitian(M)
-    I = matrix_function(E, lambda x: x**0.0)
-    assert np.abs(I - np.eye(10)).max() < 1e-13
-
-
-def test_matrix_function_singular_value_raises():
-    E = eig_hermitian(np.diag([0.0, 1.0]).astype(complex))
-    with np.errstate(divide="ignore"), pytest.raises(SingularFunctionValue):
-        matrix_function(E, lambda x: np.divide(1.0, x))
-
-
-def test_evolution_operator_unitary():
-    M = random_hermitian(15, seed=7)
-    E = eig_hermitian(M)
-    U = evolution_operator(E, T=3.7)
-    assert np.abs(U @ U.conj().T - np.eye(15)).max() < 1e-12
-    # generator check against scipy
-    ref = scipy.linalg.expm(-1j * 3.7 * M)
-    assert np.abs(U - ref).max() < 1e-10
-
-
-def test_evolution_operator_damps_high_levels():
-    E = eig_hermitian(np.diag([1.0, 2.0]).astype(complex))
-    U = evolution_operator(E, T=10.0, eps=0.1)
-    mags = np.abs(np.diag(U))
-    assert mags[0] == pytest.approx(np.exp(-1.0), rel=1e-12)
-    assert mags[1] == pytest.approx(np.exp(-2.0), rel=1e-12)
-
-
-def test_evolution_operator_overflow_guard():
-    E = eig_hermitian(np.diag([-50.0, 1.0]).astype(complex))
-    with pytest.raises(OverflowError):
-        evolution_operator(E, T=1000.0, eps=0.1)
-    # positive spectrum only underflows, never raises
-    Ep = eig_hermitian(np.diag([1.0, 50.0]).astype(complex))
-    U = evolution_operator(Ep, T=1000.0, eps=0.1)
-    assert np.isfinite(U).all()

@@ -80,6 +80,16 @@ def test_vacuum_rejects_non_finite_matrix(bad):
         vacuum_state(H)
 
 
+def test_vacuum_energy_is_rayleigh_quotient():
+    # LAPACK's eigenvalue is about 1.6e-12 off here; the float64 quotient
+    # agrees with an extended-precision one to rounding
+    H = hydrogen_matrix(512)
+    vac = vacuum_state(H)
+    state = vac.state.astype(np.clongdouble)
+    exact = np.vdot(state, H.astype(np.clongdouble) @ state).real
+    assert abs(vac.energy - exact) <= 1e-14
+
+
 def test_vacuum_energy_monotone_in_dimension():
     # nested variational spaces can only lower the minimum
     energies = [vacuum_state(hydrogen_matrix(n)).energy for n in (2, 4, 8, 16, 32)]
