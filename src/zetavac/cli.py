@@ -321,7 +321,10 @@ def cmd_zeta(cfg, out_dir, check) -> int:
     params = HydrogenParams(m=cfg["m"], q=cfg["q"])
     z_re = np.linspace(cfg["z_re_min"], cfg["z_re_max"], cfg["z_re_points"])
     z_im = np.linspace(cfg["z_im_min"], cfg["z_im_max"], cfg["z_im_points"])
-    grid = ZGrid(np.array([re + 1j * im for re in z_re for im in z_im]))
+    try:
+        grid = ZGrid(np.array([re + 1j * im for re in z_re for im in z_im]))
+    except ValueError as exc:  # repeated points come from the grid keys
+        raise ConfigError(f"z grid: {exc}") from exc
     cfg_hash = _config_hash(cfg)
 
     rows, off_identity = [], []

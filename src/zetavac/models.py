@@ -61,6 +61,21 @@ def hydrogen_element(l: int, k: int, params: HydrogenParams = HydrogenParams()) 
     return params.q * ((-1.0) ** d * (1.0 - 1j * np.pi * d) - 1.0) / (2.0 * np.pi * d * d)
 
 
+def _gather_by_difference(table: np.ndarray, md: np.ndarray, diagonal) -> np.ndarray:
+    """Matrix with entry ``table[n + md[j] - md[i]]`` at (i, j), then ``diagonal``.
+
+    Both operators depend on the modes only through k - l, so one table
+    over the differences -n..n replaces n x n integer and complex
+    temporaries; rows are gathered one at a time.
+    """
+    n = md.shape[0]
+    M = np.empty((n, n), dtype=table.dtype)
+    for i in range(n):
+        np.take(table, md + (n - md[i]), out=M[i])
+    np.fill_diagonal(M, diagonal)
+    return M
+
+
 def hydrogen_matrix(n: int, params: HydrogenParams = HydrogenParams()) -> np.ndarray:
     """Truncated hydrogen Hamiltonian, vectorized.
 
@@ -70,12 +85,11 @@ def hydrogen_matrix(n: int, params: HydrogenParams = HydrogenParams()) -> np.nda
     sizes on either path.
     """
     md = mode_list(n)
-    D = md[None, :] - md[:, None]
-    sign = np.where(D % 2 == 0, 1.0, -1.0)
+    d = np.arange(-n, n + 1)
+    sign = np.where(d % 2 == 0, 1.0, -1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        M = params.q * (sign * (1.0 - 1j * np.pi * D) - 1.0) / (2.0 * np.pi * D * D)
-    np.fill_diagonal(M, md * md / (2.0 * params.m) + params.q * np.pi / 4.0)
-    return M
+        table = params.q * (sign * (1.0 - 1j * np.pi * d) - 1.0) / (2.0 * np.pi * d * d)
+    return _gather_by_difference(table, md, md * md / (2.0 * params.m) + params.q * np.pi / 4.0)
 
 
 def position_element(l: int, k: int) -> complex:
@@ -89,13 +103,11 @@ def position_element(l: int, k: int) -> complex:
 
 def position_matrix(n: int) -> np.ndarray:
     """Truncated position operator, vectorized."""
-    md = mode_list(n)
-    D = md[None, :] - md[:, None]
-    sign = np.where(D % 2 == 0, 1.0, -1.0)
+    d = np.arange(-n, n + 1)
+    sign = np.where(d % 2 == 0, 1.0, -1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        M = -1j * sign / D
-    np.fill_diagonal(M, 0.0)
-    return M
+        table = -1j * sign / d
+    return _gather_by_difference(table, mode_list(n), 0.0)
 
 
 def log_gamma(z: complex) -> complex:

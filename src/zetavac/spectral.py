@@ -28,15 +28,20 @@ def require_hermitian(M, tol: float = 1e-12) -> np.ndarray:
     The tolerance is relative to the largest entry magnitude, so matrices
     assembled from floating-point arithmetic pass as long as their
     asymmetry is at rounding level.  NaN or infinite entries are rejected,
-    since no symmetry test can hold on them.
+    since no symmetry test can hold on them; so is an entry whose
+    magnitude overflows.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise NonHermitianInput("matrix has non-finite entries")
     scale = np.abs(M).max() if M.size else 0.0
-    dev = np.abs(M - M.conj().T).max()
+    # max propagates NaN, and |inf| is inf, so one pass finds both
+    if not np.isfinite(scale):
+        raise NonHermitianInput("matrix has non-finite entries")
+    # |conj(M) - M^T| = |M - M^H|, formed in one buffer with row-order writes
+    C = M.conj()
+    np.subtract(C, M.T, out=C)
+    dev = np.abs(C).max()
     if dev > tol * max(scale, 1e-300):
         raise NonHermitianInput(
             f"matrix deviates from Hermitian symmetry by {dev:.3e} "

@@ -5,6 +5,10 @@ span of the first ``m`` vectors is contained in the span of the first
 ``n`` for every ``m <= n``.  Truncating an operator to such a basis is
 then literally taking leading principal submatrices, and quantities
 computed at different sizes can be compared by zero-padding.
+
+Element functions are evaluated once per upper-triangle entry, with the
+modes as Python ints.  The Schatten probe takes its singular values in
+real arithmetic whenever the weighted operator has no imaginary part.
 """
 from __future__ import annotations
 
@@ -98,10 +102,12 @@ def project_operator(element, n: int, check_pairs: int = 8) -> np.ndarray:
     """Truncate a conjugate-symmetric matrix-element function to size ``n``.
 
     ``element(l, k)`` returns the matrix element between Fourier modes
-    ``l`` (row) and ``k`` (column).  Conjugate symmetry is verified on all
-    mode pairs drawn from the first ``check_pairs`` ordered positions; the
-    matrix itself is assembled from the upper triangle and mirrored, so
-    the result is Hermitian bit-exactly and the leading principal
+    ``l`` (row) and ``k`` (column), which it receives as Python ints.
+    Conjugate symmetry is verified on all mode pairs drawn from the first
+    ``check_pairs`` ordered positions; the matrix itself is assembled from
+    one call per upper-triangle entry, written with its conjugate mirror
+    in two indexed assignments, so the result is Hermitian bit-exactly
+    (the diagonal holds ``conj(element(l, l))``) and the leading principal
     submatrices agree exactly across sizes.
     """
     if n < 1:
@@ -114,12 +120,12 @@ def project_operator(element, n: int, check_pairs: int = 8) -> np.ndarray:
                 raise HermiticityViolation(
                     f"element({l},{k})={lk} vs conj(element({k},{l}))={np.conj(kl)}"
                 )
-    md = mode_list(n)
+    md = mode_list(n).tolist()
+    rows, cols = np.triu_indices(n)
     M = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for i in range(j + 1):
-            M[i, j] = element(md[i], md[j])
-            M[j, i] = np.conj(M[i, j])
+    M[rows, cols] = [element(md[i], md[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+    # the mirror also overwrites the diagonal with conj(element(l, l))
+    M[cols, rows] = M[rows, cols].conj()
     return M
 
 
@@ -210,7 +216,9 @@ def schatten_convergence_probe(
     ``1/(1 + k^2)``.  Residuals are nuclear norms of the difference between
     the reference operator and its leading-block truncation, computed from
     singular values on the reference grid.  ``rank_r`` optionally replaces
-    the reference by its best rank-``r`` approximation first.
+    the reference by its best rank-``r`` approximation first.  A weighted
+    operator with an all-zero imaginary part is decomposed as a real
+    matrix, which gives the same singular values at about half the cost.
     """
     n_list = list(n_list)
     if n_ref is None:
@@ -222,6 +230,9 @@ def schatten_convergence_probe(
     A_ref = _as_reference_matrix(A, n_ref)
     half = weight.values(mode_list(n_ref)) ** -0.5
     A_w = half[:, None] * A_ref * half[None, :]
+    if not A_w.imag.any():
+        # same singular values; LAPACK runs the real dgesdd, not zgesdd
+        A_w = A_w.real
     if rank_r is not None:
         u, s, vh = np.linalg.svd(A_w)
         s[rank_r:] = 0.0
@@ -230,5 +241,5 @@ def schatten_convergence_probe(
     for i, n in enumerate(n_list):
         diff = A_w.copy()
         diff[:n, :n] = 0.0
-        out[i] = scipy.linalg.svdvals(diff).sum()
+        out[i] = scipy.linalg.svdvals(diff, overwrite_a=True).sum()
     return out

@@ -409,6 +409,17 @@ class TestZetaCommand:
         )
         assert code == 2
 
+    def test_repeated_z_points_exit_2(self, tmp_path, capsys):
+        # z_re_min == z_re_max with three points repeats every z: a grid
+        # configuration error, not a numeric failure
+        code, _, err = run_cli(
+            ["zeta", "--out", str(tmp_path)] + self.SMALL
+            + ["--set", "z_re_min=5", "--set", "z_re_max=5", "--set", "z_re_points=3"],
+            capsys,
+        )
+        assert code == 2
+        assert "config error" in err and "distinct" in err
+
     def test_divergent_fock_series_exits_3(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["zeta", "--out", str(tmp_path), "--set", "fock_t=2.0"] + self.SMALL, capsys

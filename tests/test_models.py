@@ -96,6 +96,23 @@ class TestHydrogenElements:
         )
         assert_allclose(H, want, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 2, 33, 64])
+    def test_matrices_match_dense_difference_formula_bitwise(self, n):
+        # the builders gather from a table over k - l; the reference
+        # evaluates the same expressions on the full n x n difference grid
+        params = HydrogenParams(m=0.7, q=2.3)
+        md = np.arange(n)
+        md = np.where(md % 2 == 0, md // 2, -(md + 1) // 2)
+        D = md[None, :] - md[:, None]
+        sign = np.where(D % 2 == 0, 1.0, -1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            H = params.q * (sign * (1.0 - 1j * np.pi * D) - 1.0) / (2.0 * np.pi * D * D)
+            X = -1j * sign / D
+        np.fill_diagonal(H, md * md / (2.0 * params.m) + params.q * np.pi / 4.0)
+        np.fill_diagonal(X, 0.0)
+        assert hydrogen_matrix(n, params).tobytes() == H.tobytes()
+        assert position_matrix(n).tobytes() == X.tobytes()
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             HydrogenParams(m=0.0)
@@ -245,6 +262,39 @@ class TestFockRatio:
     def test_divergent_series_raises(self):
         with pytest.raises(SeriesDivergence):
             fock_zeta_ratio(0.0, 2.0, 30)
+
+    # Edge in T below which the call must raise.  For Re z <= -1 the
+    # sector prefactor N^(Re z + 1) never grows, and the edge is where the
+    # geometric tail ratio 8 pi / T^3 reaches 1.  For Re z > -1 the ratio
+    # test binds first, on sectors 1 -> 2: 2^(Re z + 1) 8 pi / T^3 < 1.
+    # The ratio-test edge is not sharp in floating point, so it is probed
+    # on both sides but not at the edge itself.
+    EDGE_Z = [0.0, -0.5 + 0.5j, -1.0, -1.5, -1.5 + 1.0j, -2.5]
+
+    @pytest.mark.parametrize("z", EDGE_Z)
+    @pytest.mark.parametrize("side", [0.9, 0.999, 1.01, 1.1])
+    def test_overflow_edge(self, z, side):
+        T_edge = (8.0 * math.pi * 2.0 ** max(z.real + 1.0, 0.0)) ** (1.0 / 3.0)
+        if side < 1.0:
+            with pytest.raises(SeriesDivergence):
+                fock_zeta_ratio(z, side * T_edge, 30)
+            return
+        ratio, diag = fock_zeta_ratio(z, side * T_edge, 30, full_output=True)
+        assert cmath.isfinite(ratio)
+        assert math.isfinite(diag["ratio_error_bound"]) and diag["ratio_error_bound"] >= 0.0
+
+    @pytest.mark.parametrize("z", EDGE_Z)
+    def test_raises_where_tail_ratio_reaches_one(self, z):
+        with pytest.raises(SeriesDivergence):
+            fock_zeta_ratio(z, (8.0 * math.pi) ** (1.0 / 3.0), 30)
+
+    def test_zero_z_edge_is_the_ratio_test(self):
+        # at z = 0 the tail ratio is below 1 once T^3 > 8 pi, but up to
+        # 16 pi the first sectors still grow, so the call raises there
+        T_tail = (8.0 * math.pi) ** (1.0 / 3.0)
+        for T in (1.01 * T_tail, 1.2 * T_tail):
+            with pytest.raises(SeriesDivergence, match="grow at sector N=1"):
+                fock_zeta_ratio(0.0, T, 30)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -49,6 +49,21 @@ def test_project_operator_output_hermitian_exactly():
     assert np.array_equal(M, M.conj().T)
 
 
+@pytest.mark.parametrize("n", [17, 32])
+def test_project_operator_matches_entrywise_loop(n):
+    # the complex element: one call per upper-triangle entry, mirrored,
+    # diagonal conj(element(l, l)), exactly as an entry-by-entry loop
+    M = project_operator(hydrogen_element, n)
+    md = mode_list(n)
+    want = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        for i in range(j + 1):
+            want[i, j] = hydrogen_element(md[i], md[j])
+            want[j, i] = np.conj(want[i, j])
+    assert M.tobytes() == want.tobytes()
+    assert np.array_equal(M, M.conj().T)
+
+
 def test_project_operator_rejects_asymmetric_element():
     def bad(l, k):
         return complex(l - k) if l != k else 1.0  # antisymmetric without conjugation
@@ -204,6 +219,23 @@ def test_schatten_probe_rank_one_closed_form():
         b = float(np.sum(u[n:] ** 2))
         oracle.append(np.sqrt(b * b + 4.0 * a * b))
     assert np.allclose(got, oracle, atol=1e-10)
+
+
+def test_schatten_probe_complex_path_matches_real():
+    # D A D^dagger with a diagonal unitary D has the same truncation
+    # residuals as A, since truncation commutes with D; the complex
+    # operator takes the complex SVD path, A the real one
+    rng = np.random.default_rng(7)
+    n_ref, n_list = 48, [4, 8, 16, 24]
+    u = 1.0 / (1.0 + np.arange(n_ref, dtype=float))
+    A = np.outer(u, u) + np.diag(u**2)
+    d = np.exp(2j * np.pi * rng.random(n_ref))
+    B = d[:, None] * A * d.conj()[None, :]
+    assert np.abs(B.imag).max() > 0.1
+    for rank_r in (None, 2):
+        want = schatten_convergence_probe(A, SobolevWeight(1.0), n_list, rank_r=rank_r)
+        got = schatten_convergence_probe(B, SobolevWeight(1.0), n_list, rank_r=rank_r)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_schatten_probe_grid_guard():
