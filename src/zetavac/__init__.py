@@ -32,9 +32,7 @@ from .models import (
 from .pauli import (
     PauliCoefficients,
     PauliWord,
-    coefficients_to_csv,
     decompose,
-    pauli_matrix,
     reconstruct,
 )
 from .spectral import (
@@ -64,7 +62,6 @@ from .vqe import (
     energy,
     minimize,
     sampled_energy,
-    trace_to_jsonl,
     warm_start_embed,
     warm_started_chain,
 )

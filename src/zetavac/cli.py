@@ -99,7 +99,7 @@ _DEFAULTS = {
 }
 
 
-def _parse_scalar(tok: str, lineno: int):
+def _parse_scalar(tok: str, where: str):
     tok = tok.strip()
     if tok.startswith('"') and tok.endswith('"') and len(tok) >= 2:
         return tok[1:-1]
@@ -112,7 +112,17 @@ def _parse_scalar(tok: str, lineno: int):
     try:
         return float(tok)
     except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse value {tok!r}") from None
+        raise ConfigError(f"{where}: cannot parse value {tok!r}") from None
+
+
+def _parse_value(val: str, where: str):
+    """One config value, a bracketed list of scalars or a scalar; ``where`` prefixes errors."""
+    if not val.startswith("["):
+        return _parse_scalar(val, where)
+    if not val.endswith("]"):
+        raise ConfigError(f"{where}: unterminated list {val!r}")
+    inner = val[1:-1].strip()
+    return [_parse_scalar(t, where) for t in inner.split(",")] if inner else []
 
 
 def parse_config_text(text: str) -> dict:
@@ -129,15 +139,9 @@ def parse_config_text(text: str) -> dict:
         val = val.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        if val.startswith("["):
-            if not val.endswith("]"):
-                raise ConfigError(f"line {lineno}: unterminated list")
-            inner = val[1:-1].strip()
-            out[key] = [_parse_scalar(t, lineno) for t in inner.split(",")] if inner else []
-        else:
-            if '"' not in val:
-                val = val.split("#", 1)[0].strip()
-            out[key] = _parse_scalar(val, lineno)
+        if not val.startswith("[") and '"' not in val:
+            val = val.split("#", 1)[0].strip()
+        out[key] = _parse_value(val, f"line {lineno}")
     return out
 
 
@@ -180,13 +184,8 @@ def _effective_config(command: str, args) -> dict:
             # string-valued keys take the flag value verbatim (quotes optional)
             strip = val.startswith('"') and val.endswith('"') and len(val) >= 2
             parsed = val[1:-1] if strip else val
-        elif val.startswith("["):
-            inner = val[1:-1].strip()
-            if not val.endswith("]"):
-                raise ConfigError(f"--set {key}: unterminated list {val!r}")
-            parsed = [_parse_scalar(t, 0) for t in inner.split(",")] if inner else []
         else:
-            parsed = _parse_scalar(val, 0)
+            parsed = _parse_value(val, f"--set {key}")
         _check_type(key, parsed, cfg[key])
         cfg[key] = parsed
     if args.seed is not None:

@@ -9,7 +9,6 @@ each qubit is contracted against the stacked 2x2 Paulis in turn.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +20,8 @@ __all__ = [
     "SIGMA",
     "PauliWord",
     "PauliCoefficients",
-    "pauli_matrix",
     "decompose",
     "reconstruct",
-    "coefficients_to_csv",
 ]
 
 SIGMA = np.array(
@@ -90,17 +87,10 @@ class PauliCoefficients:
         object.__setattr__(self, "coeffs", c)
 
 
-def pauli_matrix(word: PauliWord) -> np.ndarray:
-    out = SIGMA[word.digits[0]]
-    for d in word.digits[1:]:
-        out = np.kron(out, SIGMA[d])
-    return out
-
-
 def decompose(M) -> PauliCoefficients:
     """Coefficients c_q = tr(M S^q) / 2^Q for a Hermitian M.
 
-    Contracting one qubit at a time keeps the cost at O(Q 8^Q) instead of
+    Contracting one qubit at a time keeps the cost at O(Q 4^Q) instead of
     the O(16^Q) of materializing every word.  Hermitian input guarantees
     real coefficients; residual imaginary parts beyond rounding raise.
     """
@@ -129,13 +119,3 @@ def reconstruct(c: PauliCoefficients) -> np.ndarray:
     # Axes come out interleaved (j_{Q-1}, k_{Q-1}, ..., j_0, k_0).
     perm = list(range(0, 2 * Q, 2)) + list(range(1, 2 * Q, 2))
     return T.transpose(perm).reshape(2**Q, 2**Q)
-
-
-def coefficients_to_csv(c: PauliCoefficients, path) -> None:
-    """Write (q_index, base4_word, coefficient) rows sorted by index."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["q_index", "base4_word", "coefficient"])
-        for q in range(4**c.qubits):
-            word = PauliWord.from_index(c.qubits, q)
-            w.writerow([q, word.label(), repr(float(c.coeffs[q]))])

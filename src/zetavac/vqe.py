@@ -7,19 +7,21 @@ for many parameter sets at once (one batch axis), which makes both the
 gradient and the line search essentially free.  The classical loop is
 BFGS on exact parameter-shift gradients (the energy is a sinusoid in
 any one angle, so two shifted evaluations per angle give the exact
-derivative) with a batched grid line minimization.
+derivative) with a batched grid line minimization.  Word expectations,
+the quantities a device measures, come from the package's one Pauli
+transform: <psi|S^q|psi> is 2^Q times coefficient q of
+decompose(|psi><psi|).
 """
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, ParamLengthMismatch, SpecMismatch, StalledOptimization
-from .pauli import PauliCoefficients, reconstruct
+from .pauli import PauliCoefficients, decompose, reconstruct
 
 __all__ = [
     "AnsatzSpec",
@@ -31,7 +33,6 @@ __all__ = [
     "minimize",
     "warm_start_embed",
     "warm_started_chain",
-    "trace_to_jsonl",
 ]
 
 
@@ -129,50 +130,24 @@ def apply_ansatz(spec: AnsatzSpec, params) -> np.ndarray:
     return _propagate(spec, params[None, :])[0]
 
 
-def _word_action(qubits: int, digits) -> tuple[int, np.ndarray]:
-    """XOR mask and per-basis-state phase of one Pauli word.
+def _word_expectations(state, c: PauliCoefficients) -> np.ndarray:
+    """<state| S^q |state> for every word q.
 
-    S|j> = phase[j] |j ^ mask>: X and Y flip their bit, Y contributes
-    i*(-1)^bit and Z contributes (-1)^bit.
+    tr(|state><state| S^q) is 2^Q times the Pauli coefficient of the
+    projector, so one decompose call gives all 4^Q expectations.
     """
-    basis = np.arange(1 << qubits)
-    mask = 0
-    phase = np.ones(1 << qubits, dtype=complex)
-    for n, d in enumerate(reversed(digits)):  # digit n acts on qubit n
-        bit = (basis >> n) & 1
-        if d in (1, 2):
-            mask |= 1 << n
-        if d == 2:
-            phase = phase * (1j * (1.0 - 2.0 * bit))
-        elif d == 3:
-            phase = phase * (1.0 - 2.0 * bit)
-    return mask, phase
-
-
-def _word_expectations(state: np.ndarray, c: PauliCoefficients) -> np.ndarray:
-    """<state| S^q |state> for every word with a nonzero coefficient."""
-    Q = c.qubits
-    basis = np.arange(1 << Q)
-    out = np.zeros(4**Q)
-    for q in range(4**Q):
-        if c.coeffs[q] == 0.0 and q != 0:
-            continue
-        digits = tuple((q >> (2 * n)) & 3 for n in reversed(range(Q)))
-        mask, phase = _word_action(Q, digits)
-        flipped = (phase * state)[basis ^ mask]
-        out[q] = np.vdot(state, flipped).real
-    return out
+    state = np.asarray(state, dtype=complex)
+    if state.shape != (1 << c.qubits,):
+        raise DimensionMismatch(f"state {state.shape} vs {c.qubits} qubits")
+    return decompose(np.outer(state, state.conj())).coeffs * (1 << c.qubits)
 
 
 def energy(state, c: PauliCoefficients) -> float:
     """Expectation of the Pauli-sum operator in the given state.
 
-    Words act through an XOR mask and a phase vector, so each term costs
-    O(2^Q) and the words themselves are never materialized.
+    By Parseval, tr(H |state><state|) is the sum over words of the
+    operator's coefficient times the word expectation.
     """
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (1 << c.qubits,):
-        raise DimensionMismatch(f"state {state.shape} vs {c.qubits} qubits")
     return float(c.coeffs @ _word_expectations(state, c))
 
 
@@ -186,9 +161,6 @@ def sampled_energy(state, c: PauliCoefficients, shots: int, seed: int = 0):
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (1 << c.qubits,):
-        raise DimensionMismatch(f"state {state.shape} vs {c.qubits} qubits")
     rng = np.random.default_rng(seed)
     exps = np.clip(_word_expectations(state, c), -1.0, 1.0)
     estimate = c.coeffs[0]
@@ -380,10 +352,3 @@ def warm_started_chain(coeff_list, layers: int, cfg: OptimizerConfig, restarts: 
         results.append(best)
         prev = best
     return results
-
-
-def trace_to_jsonl(trace, path) -> None:
-    """Append-free JSON-lines dump of a minimize trace."""
-    with open(path, "w") as fh:
-        for row in trace:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")

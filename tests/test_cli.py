@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from zetavac import __version__, cli
 from zetavac.cli import ConfigError, build_parser, main, parse_config_text
 from zetavac.models import HydrogenParams, hydrogen_matrix
-from zetavac.pauli import decompose
+from zetavac.pauli import PauliWord, decompose
 from zetavac.truncation import vacuum_state
 
 
@@ -89,6 +89,13 @@ class TestConfigHandling:
         )
         assert code == 2
         assert "config error" in err
+
+    def test_unterminated_set_list_exits_2(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["lemma-probes", "--out", str(tmp_path), "--set", "n_list=[8, 16"], capsys
+        )
+        assert code == 2
+        assert "config error" in err and "--set n_list: unterminated list" in err
 
     def test_unknown_config_file_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -441,7 +448,10 @@ class TestPauliExportCommand:
         assert rows[5][1] == "11"
         coeffs = decompose(hydrogen_matrix(4, HydrogenParams()))
         for row in rows:
-            assert_allclose(float(row[2]), coeffs.coeffs[int(row[0])], atol=1e-14)
+            q = int(row[0])
+            assert row[1] == PauliWord.from_index(2, q).label()
+            # the shortest repr of a double round-trips it exactly
+            assert float(row[2]) == coeffs.coeffs[q]
 
     def test_nine_qubit_check_uses_relative_bound(self, tmp_path, capsys):
         # the round-trip error at Q=9 is ~1e-16 relative to max|M| but

@@ -263,23 +263,28 @@ class TestFockRatio:
         with pytest.raises(SeriesDivergence):
             fock_zeta_ratio(0.0, 2.0, 30)
 
-    # Edge in T below which the call must raise.  For Re z <= -1 the
-    # sector prefactor N^(Re z + 1) never grows, and the edge is where the
-    # geometric tail ratio 8 pi / T^3 reaches 1.  For Re z > -1 the ratio
-    # test binds first, on sectors 1 -> 2: 2^(Re z + 1) 8 pi / T^3 < 1.
-    # The ratio-test edge is not sharp in floating point, so it is probed
-    # on both sides but not at the edge itself.
+    # Edge in T below which the call must raise: where the geometric tail
+    # ratio at cutoff c reaches 1, T^3 = 8 pi ((c+1)/c)^max(Re z + 1, 0).
+    # For Re z <= -1 the sector prefactor N^(Re z + 1) never grows and the
+    # edge is T^3 = 8 pi.  For Re z > -1 the first sectors grow up to
+    # T^3 = 8 pi 2^(Re z + 1); above that every term shrinks and the call
+    # must return.  Between the two the denominator guard decides.
     EDGE_Z = [0.0, -0.5 + 0.5j, -1.0, -1.5, -1.5 + 1.0j, -2.5]
+
+    @staticmethod
+    def tail_edge(z, cutoff=30):
+        w = max(complex(z).real + 1.0, 0.0)
+        return (8.0 * math.pi * ((cutoff + 1.0) / cutoff) ** w) ** (1.0 / 3.0)
 
     @pytest.mark.parametrize("z", EDGE_Z)
     @pytest.mark.parametrize("side", [0.9, 0.999, 1.01, 1.1])
     def test_overflow_edge(self, z, side):
-        T_edge = (8.0 * math.pi * 2.0 ** max(z.real + 1.0, 0.0)) ** (1.0 / 3.0)
         if side < 1.0:
-            with pytest.raises(SeriesDivergence):
-                fock_zeta_ratio(z, side * T_edge, 30)
+            with pytest.raises(SeriesDivergence, match="tail ratio"):
+                fock_zeta_ratio(z, side * self.tail_edge(z), 30)
             return
-        ratio, diag = fock_zeta_ratio(z, side * T_edge, 30, full_output=True)
+        T_shrink = (8.0 * math.pi * 2.0 ** max(z.real + 1.0, 0.0)) ** (1.0 / 3.0)
+        ratio, diag = fock_zeta_ratio(z, side * T_shrink, 30, full_output=True)
         assert cmath.isfinite(ratio)
         assert math.isfinite(diag["ratio_error_bound"]) and diag["ratio_error_bound"] >= 0.0
 
@@ -289,12 +294,30 @@ class TestFockRatio:
             fock_zeta_ratio(z, (8.0 * math.pi) ** (1.0 / 3.0), 30)
 
     def test_zero_z_edge_is_the_ratio_test(self):
-        # at z = 0 the tail ratio is below 1 once T^3 > 8 pi, but up to
-        # 16 pi the first sectors still grow, so the call raises there
-        T_tail = (8.0 * math.pi) ** (1.0 / 3.0)
-        for T in (1.01 * T_tail, 1.2 * T_tail):
-            with pytest.raises(SeriesDivergence, match="grow at sector N=1"):
-                fock_zeta_ratio(0.0, T, 30)
+        # at z = 0 the only ratio test is the tail ratio at the cutoff: the
+        # call raises just below T^3 = 8 pi (31/30) and returns at
+        # T^3 = 1.728 * 8 pi, where the first sectors still grow
+        with pytest.raises(SeriesDivergence, match="tail ratio at cutoff 30"):
+            fock_zeta_ratio(0.0, 0.999 * self.tail_edge(0.0), 30)
+        T = 1.2 * (8.0 * math.pi) ** (1.0 / 3.0)
+        ratio, diag = fock_zeta_ratio(0.0, T, 30, full_output=True)
+        assert cmath.isfinite(ratio) and math.isfinite(diag["ratio_error_bound"])
+
+    @pytest.mark.parametrize("factor", [1.2, 1.5])
+    def test_growing_first_sectors_within_bound_of_long_sum(self, factor):
+        # T^3 = 1.728 * 8 pi, where the terms grow over the first sectors,
+        # and 3.375 * 8 pi, where they do not: either way the cutoff-30
+        # value lies within its certified bound of the cutoff-3000 sum
+        T = factor * (8.0 * math.pi) ** (1.0 / 3.0)
+        ratio, diag = fock_zeta_ratio(0.0, T, 30, full_output=True)
+        long_sum = fock_zeta_ratio(0.0, T, 3000)
+        assert abs(ratio - long_sum) <= diag["ratio_error_bound"]
+
+    def test_non_finite_sum_raises(self):
+        # the tail ratio is below 1, but every term overflows: v^(N + z)
+        # outgrows T^(3N + 1)
+        with pytest.raises(SeriesDivergence, match="not finite"):
+            fock_zeta_ratio(10.0, 1e102, 30, v=1e300)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

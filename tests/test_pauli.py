@@ -4,7 +4,6 @@ The production transform contracts qubit axes without materializing any
 basis word; the tests rebuild every word with plain np.kron from a local
 copy of the 2x2 matrices and compare traces.
 """
-import csv
 import math
 from functools import reduce
 
@@ -17,9 +16,7 @@ from zetavac.models import hydrogen_matrix
 from zetavac.pauli import (
     PauliCoefficients,
     PauliWord,
-    coefficients_to_csv,
     decompose,
-    pauli_matrix,
     reconstruct,
 )
 
@@ -51,11 +48,6 @@ class TestPauliWord:
     def test_label(self):
         assert PauliWord.from_index(2, 5).label() == "11"
         assert PauliWord.from_index(3, 6).label() == "012"
-
-    def test_matrix_matches_kron(self):
-        for q in (0, 5, 21, 38, 63):
-            w = PauliWord.from_index(3, q)
-            assert_allclose(pauli_matrix(w), kron_word(3, q), atol=0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -158,21 +150,3 @@ class TestOrthogonalityAndParseval:
         lhs = np.sum(c.coeffs**2) * 2**Q
         rhs = np.linalg.norm(M, "fro") ** 2
         assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-class TestCsvExport:
-    def test_rows_and_exact_values(self, tmp_path):
-        c = decompose(hydrogen_matrix(4))
-        path = tmp_path / "coeffs.csv"
-        coefficients_to_csv(c, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["q_index", "base4_word", "coefficient"]
-        assert len(rows) == 1 + 16
-        indices = [int(r[0]) for r in rows[1:]]
-        assert indices == sorted(indices)
-        for r in rows[1:]:
-            q = int(r[0])
-            assert r[1] == PauliWord.from_index(2, q).label()
-            # repr round-trips doubles exactly
-            assert float(r[2]) == c.coeffs[q]

@@ -1,11 +1,12 @@
 """Ansatz simulation, energy routes, and the optimizer loops.
 
-Energies computed through the Pauli-word path are always cross-checked
-against dense quadratic forms built via reconstruct (two genuinely
-different routes).  Optimizer tests pin the small-qubit hydrogen values
-that the nested chain must hit.
+Energies computed through the Pauli-word route (word expectations from
+decompose of the state's projector, paired with the operator's
+coefficients) are always cross-checked against the dense quadratic form
+of the matrix itself, a route that uses no Pauli transform.  Single-word
+cases pin individual expectations to their known values.  Optimizer
+tests pin the small-qubit hydrogen values that the nested chain must hit.
 """
-import json
 import math
 
 import numpy as np
@@ -29,7 +30,6 @@ from zetavac.vqe import (
     energy,
     minimize,
     sampled_energy,
-    trace_to_jsonl,
     warm_start_embed,
     warm_started_chain,
 )
@@ -100,7 +100,7 @@ class TestEnergy:
         psi = eig_hermitian(H).vectors[:, 0]
         assert energy(psi, decompose(H)) == pytest.approx(GROUND_Q2, abs=1e-9)
 
-    @pytest.mark.parametrize("Q", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("Q", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_pauli_route_matches_dense_route(self, Q):
         rng = np.random.default_rng(30 + Q)
         B = rng.normal(size=(2**Q, 2**Q)) + 1j * rng.normal(size=(2**Q, 2**Q))
@@ -183,7 +183,13 @@ class TestMinimize:
     def test_single_qubit_cg_hits_table_value(self):
         c = decompose(hydrogen_matrix(2))
         res = minimize(AnsatzSpec(1, 1), c, OptimizerConfig(seed=0), initial=np.zeros(4))
+        assert isinstance(res, MinimizeResult)
         assert abs(res.energy - GROUND_Q1) <= 1e-8
+        assert len(res.trace) >= 1
+        for row in res.trace:
+            assert set(row) == {"iteration", "energy", "gradient_norm", "params_hash"}
+        its = [row["iteration"] for row in res.trace]
+        assert its == sorted(its) and len(set(its)) == len(its)
 
     def test_known_sigma_z_minimum(self):
         c = PauliCoefficients(1, np.array([0.0, 0.0, 0.0, 1.0]))
@@ -288,18 +294,3 @@ class TestWarmStartEmbed:
             warm_start_embed(np.zeros(4), AnsatzSpec(1, 1), AnsatzSpec(2, 2))
         with pytest.raises(ParamLengthMismatch):
             warm_start_embed(np.zeros(5), AnsatzSpec(1, 1), AnsatzSpec(2, 1))
-
-
-class TestTraceExport:
-    def test_jsonl_round_trip(self, tmp_path):
-        c = decompose(hydrogen_matrix(2))
-        res = minimize(AnsatzSpec(1, 1), c, OptimizerConfig(seed=0))
-        assert isinstance(res, MinimizeResult)
-        path = tmp_path / "trace.jsonl"
-        trace_to_jsonl(res.trace, path)
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(rows) == len(res.trace) >= 1
-        for row in rows:
-            assert set(row) == {"iteration", "energy", "gradient_norm", "params_hash"}
-        its = [r["iteration"] for r in rows]
-        assert its == sorted(its)
