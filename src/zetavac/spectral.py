@@ -4,6 +4,8 @@ Hermitian-input validation, eigendecomposition with a deterministic
 eigenvector phase convention, and a subset eigensolve for the smallest
 eigenpair.  Functions of an operator (H^z, damped evolution) are never
 assembled as matrices: ``gauge`` evaluates them as sums over the spectrum.
+``smallest_eigenpair`` runs in SciPy's LAPACK and ``eig_hermitian`` in
+NumPy's; the ``truncation`` module docstring gives the rule and its reason.
 """
 from __future__ import annotations
 

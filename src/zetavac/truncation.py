@@ -9,6 +9,13 @@ computed at different sizes can be compared by zero-padding.
 Element functions are evaluated once per upper-triangle entry, with the
 modes as Python ints.  The Schatten probe takes its singular values in
 real arithmetic whenever the weighted operator has no imaginary part.
+
+NumPy and SciPy each load their own OpenBLAS thread pool, and a pool's
+workers keep spinning after a call, so a call into one pool right after
+a call into the other competes with them for the cores.  The rule is:
+SciPy's LAPACK and BLAS only for the subset eigensolve and its residual
+(``spectral.smallest_eigenpair`` and ``vacuum_state``), NumPy's for
+everything else, the Schatten singular values included.
 """
 from __future__ import annotations
 
@@ -133,7 +140,9 @@ def vacuum_state(H) -> DiscretizedVacuum:
     """Ground-state energy, vector and residual of a truncated Hamiltonian."""
     _, state = smallest_eigenpair(H)
     H = np.asarray(H, dtype=complex)
-    h_state = H @ state
+    # H @ state in SciPy's pool, where the eigensolve just ran: H.T is the
+    # Fortran-ordered view of H, and trans=1 applies its transpose
+    h_state = scipy.linalg.blas.zgemv(1.0, H.T, state, trans=1)
     # the Rayleigh quotient is exact to rounding; LAPACK's eigenvalue is
     # off by about eps * ||H||, which grows like n^2
     energy = float(np.vdot(state, h_state).real)
@@ -241,5 +250,5 @@ def schatten_convergence_probe(
     for i, n in enumerate(n_list):
         diff = A_w.copy()
         diff[:n, :n] = 0.0
-        out[i] = scipy.linalg.svdvals(diff, overwrite_a=True).sum()
+        out[i] = np.linalg.svd(diff, compute_uv=False).sum()
     return out

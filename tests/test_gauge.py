@@ -245,6 +245,27 @@ class TestDampedTraceRatio:
         got = damped_trace_ratio(H, H, 0.0, 4.0e5, eps=0.1)
         assert got == pytest.approx(0.229395425745, abs=1e-9)
 
+    def test_array_of_times_matches_scalar_calls(self):
+        H = hydrogen_matrix(64)
+        system = eig_hermitian(H)
+        t_list = np.arange(500.0, 4001.0, 250.0)
+        for A in (H, position_matrix(64)):
+            for z in (0.0, 0.3 - 0.2j):
+                got = damped_trace_ratio(H, A, z, t_list, eps=0.05, system=system)
+                assert got.shape == t_list.shape
+                for T, r in zip(t_list, got):
+                    want = damped_trace_ratio(H, A, z, T, eps=0.05, system=system)
+                    assert type(want) is complex
+                    assert abs(r - want) <= 1e-15 * abs(want)
+        with pytest.raises(ValueError, match="1-d"):
+            damped_trace_ratio(H, H, 0.0, np.ones((2, 2)), eps=0.05, system=system)
+
+    def test_denominator_zero_names_first_time(self):
+        # tr(exp(-iTH)) = exp(-iT)(1 + exp(-iT)) vanishes at T = pi
+        H = np.diag([1.0, 2.0]).astype(complex)
+        with pytest.raises(DenominatorNearZero, match=f"at T = {np.pi}$"):
+            damped_trace_ratio(H, H, 0.0, [1.0, np.pi, 3.0 * np.pi], eps=0.0)
+
     def test_negative_eps_rejected(self):
         H = np.diag([1.0, 2.0]).astype(complex)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import digamma, polygamma
 
 from zetavac.errors import DimensionMismatch, GridTooSmall, HermiticityViolation, NonHermitianInput
@@ -16,6 +17,8 @@ from zetavac.truncation import (
     vacuum_state,
     zero_pad,
 )
+
+from zetavac.spectral import smallest_eigenpair
 
 from conftest import assert_same_ground_pair, random_hermitian
 
@@ -85,6 +88,23 @@ def test_vacuum_matches_full_eigensolvers(kind, n):
     r = np.linalg.norm(H @ vac.state - vac.energy * vac.state) / np.abs(H).max()
     assert vac.residual == pytest.approx(r, rel=1e-12)
     assert vac.residual < 1e-13
+
+
+@pytest.mark.parametrize(
+    "kind,n",
+    [("hydrogen", 1), ("hydrogen", 2), ("hydrogen", 50), ("hydrogen", 513), ("hydrogen", 1050), ("random", 200)],
+)
+def test_vacuum_matches_numpy_route(kind, n):
+    # vacuum_state forms H psi with SciPy's zgemv; the NumPy route is the oracle
+    H = random_hermitian(n, seed=n) if kind == "random" else hydrogen_matrix(n)
+    _, psi = smallest_eigenpair(H)
+    h_psi = H @ psi
+    energy = np.vdot(psi, h_psi).real
+    residual = np.linalg.norm(h_psi - energy * psi) / np.abs(H).max()
+    vac = vacuum_state(H)
+    assert abs(vac.energy - energy) <= 1e-15 * abs(energy)
+    assert np.linalg.norm(vac.state - psi) <= 1e-15
+    assert abs(vac.residual - residual) <= 1e-15 * residual
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -221,6 +241,18 @@ def test_schatten_probe_rank_one_closed_form():
     assert np.allclose(got, oracle, atol=1e-10)
 
 
+def _scipy_schatten(M, weight, n_list):
+    """Schatten probe residuals with SciPy's singular values (the oracle)."""
+    half = weight.values(mode_list(M.shape[0])) ** -0.5
+    M_w = half[:, None] * M * half[None, :]
+    out = []
+    for n in n_list:
+        diff = M_w.copy()
+        diff[:n, :n] = 0.0
+        out.append(scipy.linalg.svdvals(diff).sum())
+    return np.array(out)
+
+
 def test_schatten_probe_complex_path_matches_real():
     # D A D^dagger with a diagonal unitary D has the same truncation
     # residuals as A, since truncation commutes with D; the complex
@@ -236,6 +268,11 @@ def test_schatten_probe_complex_path_matches_real():
         want = schatten_convergence_probe(A, SobolevWeight(1.0), n_list, rank_r=rank_r)
         got = schatten_convergence_probe(B, SobolevWeight(1.0), n_list, rank_r=rank_r)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # NumPy's singular values on both paths against SciPy's
+    for M in (A, B):
+        got = schatten_convergence_probe(M, SobolevWeight(1.0), n_list)
+        oracle = _scipy_schatten(M, SobolevWeight(1.0), n_list)
+        assert np.all(np.abs(got - oracle) <= 1e-12 * np.abs(oracle))
 
 
 def test_schatten_probe_grid_guard():
