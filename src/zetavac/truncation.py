@@ -7,15 +7,18 @@ then literally taking leading principal submatrices, and quantities
 computed at different sizes can be compared by zero-padding.
 
 Element functions are evaluated once per upper-triangle entry, with the
-modes as Python ints.  The Schatten probe takes its singular values in
-real arithmetic whenever the weighted operator has no imaginary part.
+modes as Python ints.  Every operator the Schatten probe sees is
+Hermitian, so it takes each nuclear norm as the sum of absolute
+eigenvalues (LAPACK ``heevd``/``syevd``, about a third of the work of a
+singular value decomposition), in real arithmetic whenever the weighted
+operator has no imaginary part.
 
 NumPy and SciPy each load their own OpenBLAS thread pool, and a pool's
 workers keep spinning after a call, so a call into one pool right after
 a call into the other competes with them for the cores.  The rule is:
 SciPy's LAPACK and BLAS only for the subset eigensolve and its residual
 (``spectral.smallest_eigenpair`` and ``vacuum_state``), NumPy's for
-everything else, the Schatten singular values included.
+everything else, the Schatten eigenvalues included.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, GridTooSmall, HermiticityViolation, NonHermitianInput
-from .spectral import smallest_eigenpair
+from .spectral import require_hermitian, smallest_eigenpair
 
 __all__ = [
     "mode_of_index",
@@ -223,11 +226,20 @@ def schatten_convergence_probe(
     The operator is symmetrically scaled by ``(1 + k^2)^(-s/2)`` on both
     sides, which for the identity element and s=1 reproduces the diagonal
     ``1/(1 + k^2)``.  Residuals are nuclear norms of the difference between
-    the reference operator and its leading-block truncation, computed from
-    singular values on the reference grid.  ``rank_r`` optionally replaces
-    the reference by its best rank-``r`` approximation first.  A weighted
+    the reference operator and its leading-block truncation on the
+    reference grid.  Both are Hermitian, so each nuclear norm is the sum of
+    the absolute eigenvalues of the difference.  A matrix ``A`` must pass
+    ``require_hermitian``; an element function is made Hermitian by
+    ``project_operator``.
+
+    ``rank_r``, an int in ``1..n_ref``, optionally replaces the reference
+    by its best rank-``r`` approximation first: the ``r`` eigenpairs of
+    largest ``|lambda|`` (Eckart-Young for Hermitian matrices).  A cut that
+    splits a tie ``|lambda_r| = |lambda_{r+1}|`` to within
+    ``1e-12 * max|lambda|`` raises ``ValueError``, since the reference is
+    then not unique; a tie at that zero level is no error.  A weighted
     operator with an all-zero imaginary part is decomposed as a real
-    matrix, which gives the same singular values at about half the cost.
+    matrix, which gives the same eigenvalues at about half the cost.
     """
     n_list = list(n_list)
     if n_ref is None:
@@ -236,19 +248,35 @@ def schatten_convergence_probe(
         raise GridTooSmall(
             f"reference grid {n_ref} is smaller than twice max(n_list)={max(n_list)}"
         )
+    if rank_r is not None and (
+        isinstance(rank_r, bool)
+        or not isinstance(rank_r, (int, np.integer))
+        or not 1 <= rank_r <= n_ref
+    ):
+        raise ValueError(f"rank_r must be None or an int in 1..{n_ref}, got {rank_r!r}")
     A_ref = _as_reference_matrix(A, n_ref)
+    if not callable(A):
+        A_ref = require_hermitian(A_ref)
     half = weight.values(mode_list(n_ref)) ** -0.5
     A_w = half[:, None] * A_ref * half[None, :]
     if not A_w.imag.any():
-        # same singular values; LAPACK runs the real dgesdd, not zgesdd
+        # same eigenvalues; LAPACK runs the real dsyevd, not zheevd
         A_w = A_w.real
     if rank_r is not None:
-        u, s, vh = np.linalg.svd(A_w)
-        s[rank_r:] = 0.0
-        A_w = (u * s) @ vh
+        lam, V = np.linalg.eigh(A_w)
+        order = np.argsort(-np.abs(lam))
+        mag = np.abs(lam[order])
+        tol = 1e-12 * mag[0]
+        if rank_r < n_ref and mag[rank_r] > tol and mag[rank_r - 1] - mag[rank_r] <= tol:
+            raise ValueError(
+                f"rank_r={rank_r} splits the tie |lambda| = {mag[rank_r - 1]:.6e}, "
+                f"{mag[rank_r]:.6e}; the rank-{rank_r} reference is not unique"
+            )
+        keep = order[:rank_r]
+        A_w = (V[:, keep] * lam[keep]) @ V[:, keep].conj().T
     out = np.empty(len(n_list))
     for i, n in enumerate(n_list):
         diff = A_w.copy()
         diff[:n, :n] = 0.0
-        out[i] = np.linalg.svd(diff, compute_uv=False).sum()
+        out[i] = np.abs(np.linalg.eigvalsh(diff)).sum()
     return out
