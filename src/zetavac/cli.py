@@ -294,7 +294,9 @@ def cmd_vqe(cfg, out_dir, check) -> int:
     rows = []
     with open(os.path.join(out_dir, "iterations.jsonl"), "w") as fh:
         for Q, res, e0 in zip(range(1, cfg["q_max"] + 1), results, exact):
-            row = {"qubits": Q, "exact": e0, "vqe": res.energy, "deviation": res.energy - e0}
+            row = {"qubits": Q, "exact": e0, "vqe": res.energy, "deviation": res.energy - e0,
+                   "exit": "converged" if res.converged else "max_iter",
+                   "iterations": len(res.trace), "gradient_norm": res.trace[-1]["gradient_norm"]}
             if cfg["shots"] > 0:
                 state = apply_ansatz(AnsatzSpec(Q, cfg["layers"]), res.params)
                 est, err = sampled_energy(state, coeff_list[Q - 1], cfg["shots"], seed=cfg["seed"] + Q)

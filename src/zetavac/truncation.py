@@ -118,7 +118,9 @@ def project_operator(element, n: int, check_pairs: int = 8) -> np.ndarray:
     one call per upper-triangle entry, written with its conjugate mirror
     in two indexed assignments, so the result is Hermitian bit-exactly
     (the diagonal holds ``conj(element(l, l))``) and the leading principal
-    submatrices agree exactly across sizes.
+    submatrices agree exactly across sizes.  A non-finite sampled pair
+    raises HermiticityViolation, and any other non-finite element
+    NonHermitianInput.
     """
     if n < 1:
         raise ValueError("basis size must be at least 1")
@@ -126,9 +128,9 @@ def project_operator(element, n: int, check_pairs: int = 8) -> np.ndarray:
     for a, l in enumerate(sample):
         for k in sample[a:]:
             lk, kl = complex(element(l, k)), complex(element(k, l))
-            if abs(lk - np.conj(kl)) > 1e-12 * max(1.0, abs(lk)):
+            if not abs(lk - kl.conjugate()) <= 1e-12 * max(1.0, abs(lk)):  # NaN fails too
                 raise HermiticityViolation(
-                    f"element({l},{k})={lk} vs conj(element({k},{l}))={np.conj(kl)}"
+                    f"element({l},{k})={lk} vs conj(element({k},{l}))={kl.conjugate()}"
                 )
     md = mode_list(n).tolist()
     rows, cols = np.triu_indices(n)
@@ -136,6 +138,8 @@ def project_operator(element, n: int, check_pairs: int = 8) -> np.ndarray:
     M[rows, cols] = [element(md[i], md[j]) for i, j in zip(rows.tolist(), cols.tolist())]
     # the mirror also overwrites the diagonal with conj(element(l, l))
     M[cols, rows] = M[rows, cols].conj()
+    if not np.isfinite(M).all():
+        raise NonHermitianInput(f"element values at n={n} are not all finite")
     return M
 
 

@@ -3,12 +3,15 @@
 The ansatz is the hardware-efficient layout: per layer an R_y and R_z
 rotation on every qubit followed by a chain of CZ gates on neighbouring
 qubits, plus one final rotation pair per qubit.  States are propagated
-for many parameter sets at once (one batch axis), which makes both the
-gradient and the line search essentially free.  The classical loop is
-BFGS on exact parameter-shift gradients (the energy is a sinusoid in
-any one angle, so two shifted evaluations per angle give the exact
-derivative) with a batched grid line minimization.  Word expectations,
-the quantities a device measures, come from the package's one Pauli
+for many parameter sets at once, with the batch as the last, contiguous
+axis of the state, so each gate is three ufunc calls over the whole
+batch; this makes both the gradient and the line search essentially
+free.  The classical loop is BFGS on exact parameter-shift gradients
+(the energy is a sinusoid in any one angle, so two shifted evaluations
+per angle give the exact derivative) with a batched grid line
+minimization.  Energies are quadratic forms of the reconstructed
+matrix.  Word expectations, the quantities a device measures and the
+input of ``sampled_energy``, come from the package's one Pauli
 transform: <psi|S^q|psi> is 2^Q times coefficient q of
 decompose(|psi><psi|).
 """
@@ -72,16 +75,13 @@ class MinimizeResult(NamedTuple):
     params: np.ndarray
     energy: float
     trace: list
+    converged: bool = True  # False: cut off by max_iter (a kept stalled attempt)
 
 
 def _cz_signs(qubits: int) -> np.ndarray:
-    """(-1)^(b_q and b_{q+1}) sign table of the CZ chain, one row per pair."""
-    basis = np.arange(1 << qubits)
-    rows = []
-    for q in range(qubits - 1):
-        both = ((basis >> q) & 1) & ((basis >> (q + 1)) & 1)
-        rows.append(1.0 - 2.0 * both)
-    return np.array(rows) if rows else np.empty((0, 1 << qubits))
+    """Diagonal of the whole CZ chain: (-1) to the number of neighbouring 1-bit pairs."""
+    b = np.arange(1 << qubits)
+    return 1.0 - 2.0 * (np.bitwise_count(b & (b >> 1)) & 1)
 
 
 def _propagate(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
@@ -89,35 +89,53 @@ def _propagate(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
 
     ``params`` has shape (batch, n_params); parameters are ordered layer
     by layer, qubit by qubit, (theta, phi) per qubit.  The R_z(phi)R_y(theta)
-    product is applied as one 2x2 gate per qubit, written out on slice
-    views (cheaper than a general contraction at these sizes), and the
-    diagonal CZ chain collapses to a single sign vector per layer.  The
-    entries of all gates come from one vectorised pass over the whole
-    parameter array, so the gate loop only does state arithmetic.
+    product is applied as one 2x2 gate per qubit, and the diagonal CZ
+    chain collapses to a single sign vector per layer.  The entries of all
+    gates come from one vectorised pass over the whole parameter array,
+    so the gate loop only does state arithmetic.
+
+    The state is held batch-last, shape (2^Q, batch), so the batch is the
+    contiguous inner axis of every slice a gate touches; qubit q splits it
+    into the view (2^(Q-1-q), 2, 2^q, batch).  These views of the two
+    ping-pong buffers and the scratch buffer are made once per call, and
+    a gate is three ufunc calls into them: column 0 (u00, u10) times the
+    low half, column 1 stored negated, (-u01, u11), times the high half,
+    and the sum.  Negation is exact, so every amplitude is bit for bit
+    u00*lo - u01*hi (resp. u10*lo + u11*hi).  The result is returned as a
+    C-ordered (batch, 2^Q) copy: the energy contraction psi.conj() @ H
+    then runs on the same operand layout, and so gives the same bits, as
+    with a batch-first state, and ``apply_ansatz`` returns a contiguous row.
     """
     Q, L = spec.qubits, spec.layers
     C = params.shape[0]
-    cz = _cz_signs(Q)
-    cz_total = cz.prod(axis=0) if cz.size else None
     half = params / 2.0
     cos, sin = np.cos(half[:, 0::2]), np.sin(half[:, 0::2])
-    em, ep = np.exp(-1j * half[:, 1::2]), np.exp(1j * half[:, 1::2])
-    gates = np.stack([em * cos, em * sin, ep * sin, ep * cos])[..., None, None]
-    psi = np.zeros((C, 1 << Q), dtype=complex)
-    psi[:, 0] = 1.0
-    out = np.empty_like(psi)
-    for layer in range(L + 1):
-        for q in range(Q):
-            u00, u01, u10, u11 = gates[:, :, layer * Q + q]
-            view = psi.reshape(C, 1 << (Q - 1 - q), 2, 1 << q)
-            dest = out.reshape(C, 1 << (Q - 1 - q), 2, 1 << q)
-            lo, hi = view[:, :, 0, :], view[:, :, 1, :]
-            dest[:, :, 0, :] = u00 * lo - u01 * hi
-            dest[:, :, 1, :] = u10 * lo + u11 * hi
-            psi, out = out, psi
-        if layer < L and cz_total is not None:
-            psi *= cz_total
-    return psi
+    ep = np.exp(1j * half[:, 1::2])
+    em = ep.conj()  # the bits of exp(-1j * half): cexp(+-0 + iy) is (cos y, sin y)
+    cols = np.empty((cos.shape[1], 2, 2, 1, C), dtype=complex)  # gate, column, row, 1, batch
+    w = cols[:, :, :, 0, :].transpose(3, 0, 1, 2)
+    np.multiply(em, cos, out=w[..., 0, 0])
+    np.multiply(ep, sin, out=w[..., 0, 1])
+    np.negative(em * sin, out=w[..., 1, 0])
+    np.multiply(ep, cos, out=w[..., 1, 1])
+    cz = _cz_signs(Q)[:, None]
+    psi = np.zeros((1 << Q, C), dtype=complex)
+    psi[0] = 1.0
+    bufs, tmp = [psi, np.empty_like(psi)], np.empty_like(psi)  # gate g reads bufs[g % 2]
+    views = []  # per qubit and parity: the (lo, hi, dest, tmp) views
+    for q in range(Q):
+        shape = (1 << (Q - 1 - q), 2, 1 << q, C)
+        a, b, t = bufs[0].reshape(shape), bufs[1].reshape(shape), tmp.reshape(shape)
+        views.append(((a[:, 0:1], a[:, 1:2], b, t), (b[:, 0:1], b[:, 1:2], a, t)))
+    for g, (col0, col1) in enumerate(cols):
+        layer, q = divmod(g, Q)
+        lo, hi, dest, t = views[q][g % 2]
+        np.multiply(col0, lo, out=dest)
+        np.multiply(col1, hi, out=t)
+        dest += t
+        if q == Q - 1 and layer < L and Q > 1:
+            bufs[(g + 1) % 2] *= cz
+    return np.ascontiguousarray(bufs[len(cols) % 2].T)
 
 
 def apply_ansatz(spec: AnsatzSpec, params) -> np.ndarray:
@@ -130,25 +148,34 @@ def apply_ansatz(spec: AnsatzSpec, params) -> np.ndarray:
     return _propagate(spec, params[None, :])[0]
 
 
+def _state_vector(state, c: PauliCoefficients) -> np.ndarray:
+    state = np.asarray(state, dtype=complex)
+    if state.shape != (1 << c.qubits,):
+        raise DimensionMismatch(f"state {state.shape} vs {c.qubits} qubits")
+    return state
+
+
 def _word_expectations(state, c: PauliCoefficients) -> np.ndarray:
     """<state| S^q |state> for every word q.
 
     tr(|state><state| S^q) is 2^Q times the Pauli coefficient of the
     projector, so one decompose call gives all 4^Q expectations.
     """
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (1 << c.qubits,):
-        raise DimensionMismatch(f"state {state.shape} vs {c.qubits} qubits")
+    state = _state_vector(state, c)
     return decompose(np.outer(state, state.conj())).coeffs * (1 << c.qubits)
 
 
 def energy(state, c: PauliCoefficients) -> float:
     """Expectation of the Pauli-sum operator in the given state.
 
-    By Parseval, tr(H |state><state|) is the sum over words of the
-    operator's coefficient times the word expectation.
+    Evaluated as the quadratic form psi^dagger M psi of M = reconstruct(c),
+    the form ``minimize`` evaluates.  The sum over words of coefficient
+    times word expectation is equal in exact arithmetic, but its rounding
+    scale is eps * sum_q |c_q|, which grows about 4x per qubit for
+    hydrogen and costs digits on low-energy states.
     """
-    return float(c.coeffs @ _word_expectations(state, c))
+    psi = _state_vector(state, c)
+    return float(((psi.conj() @ reconstruct(c)) * psi).sum().real)
 
 
 def sampled_energy(state, c: PauliCoefficients, shots: int, seed: int = 0):
@@ -180,6 +207,12 @@ def _params_hash(params: np.ndarray) -> str:
     return hashlib.sha256(params.tobytes()).hexdigest()[:16]
 
 
+# _line_min's step grids: the coarse pass around the quasi-Newton step 1
+# and the fallback pass down to 1e-7
+_COARSE_STEPS = np.geomspace(1.0 / 32.0, 4.0, 12)
+_FALLBACK_STEPS = np.geomspace(1e-7, 1.0 / 64.0, 10)
+
+
 def _line_min(fbatch, x, d, fx):
     """Batched grid line minimization along d; returns (step, energy) or None.
 
@@ -190,11 +223,11 @@ def _line_min(fbatch, x, d, fx):
     pass are evaluated in a single batched propagation, so the whole
     search costs about two gradient-free energy evaluations.
     """
-    steps = np.geomspace(1.0 / 32.0, 4.0, 12)
+    steps = _COARSE_STEPS
     vals = fbatch(x[None, :] + steps[:, None] * d[None, :])
     i = int(np.argmin(vals))
     if vals[i] >= fx:  # nothing below fx at coarse scale; probe far smaller
-        steps = np.geomspace(1e-7, 1.0 / 64.0, 10)
+        steps = _FALLBACK_STEPS
         vals = fbatch(x[None, :] + steps[:, None] * d[None, :])
         i = int(np.argmin(vals))
         if vals[i] >= fx:
@@ -325,7 +358,8 @@ def warm_started_chain(coeff_list, layers: int, cfg: OptimizerConfig, restarts: 
     qubit up (the first from the seeded random point minimize draws);
     when a run stalls it is retried up to ``restarts`` times from seeded
     perturbations of the best parameters so far, wider with every retry,
-    keeping the best result seen.  Returns a list of MinimizeResult.
+    keeping the best result seen.  Returns a list of MinimizeResult, with
+    ``converged`` False where the kept result is a stalled attempt.
     """
     results = []
     prev = None
@@ -341,7 +375,7 @@ def warm_started_chain(coeff_list, layers: int, cfg: OptimizerConfig, restarts: 
             try:
                 res = minimize(spec, c, cfg, initial=x0)
             except StalledOptimization as stall:
-                res = MinimizeResult(stall.params, stall.energy, stall.trace)
+                res = MinimizeResult(stall.params, stall.energy, stall.trace, converged=False)
                 if best is None or res.energy < best.energy:
                     best = res
                 x0 = best.params + rng.normal(0.0, 0.1 * (attempt + 1), size=spec.n_params)

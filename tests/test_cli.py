@@ -271,6 +271,24 @@ class TestVqeCommand:
             seen_qubits.add(entry["qubits"])
         assert seen_qubits == {1, 2}
 
+    @pytest.mark.parametrize("max_iter,exit_reason", [(25000, "converged"), (1, "max_iter")])
+    def test_rows_report_what_ran(self, tmp_path, capsys, max_iter, exit_reason):
+        code, _, _ = run_cli(
+            ["vqe", "--out", str(tmp_path), "--set", "q_max=2", "--set", "layers=2",
+             "--set", "restarts=1", "--set", f"max_iter={max_iter}"],
+            capsys,
+        )
+        assert code == 0
+        rows = read_json(tmp_path / "vqe_results.json")["rows"]
+        entries = [json.loads(line) for line in (tmp_path / "iterations.jsonl").read_text().splitlines()]
+        for row in rows:
+            trace = [e for e in entries if e["qubits"] == row["qubits"]]
+            assert row["exit"] == exit_reason
+            assert row["iterations"] == len(trace)
+            assert row["gradient_norm"] == trace[-1]["gradient_norm"]
+        if exit_reason == "max_iter":
+            assert all(row["iterations"] == 1 for row in rows)
+
     def test_shots_add_sampled_columns(self, tmp_path, capsys):
         code, _, _ = run_cli(
             ["vqe", "--out", str(tmp_path),

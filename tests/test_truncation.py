@@ -338,6 +338,26 @@ def test_schatten_probe_rejects_bad_matrix(M):
         schatten_convergence_probe(M, SobolevWeight(0.0), [4, 8])
 
 
+def _identity_element_with(mode, value):
+    def element(l, k):
+        return value if l == k == mode else float(l == k)
+
+    return element
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "mode,error",
+    # mode 5 (index 10) lies outside the sampled symmetry pairs and the
+    # leading blocks; mode 1 (index 2) is sampled and inside the block
+    # that every residual zeroes
+    [(5, NonHermitianInput), (1, HermiticityViolation)],
+)
+def test_schatten_probe_rejects_non_finite_element(mode, error, bad):
+    with pytest.raises(error):
+        schatten_convergence_probe(_identity_element_with(mode, bad), SobolevWeight(0.0), [4, 8], n_ref=16)
+
+
 @pytest.mark.parametrize("rank_r", [0, -1, 41, 2.0, True, "2"])
 def test_schatten_probe_rejects_bad_rank(rank_r):
     u = 1.0 / (1.0 + np.arange(40, dtype=float))

@@ -1,11 +1,15 @@
 """Ansatz simulation, energy routes, and the optimizer loops.
 
-Energies computed through the Pauli-word route (word expectations from
-decompose of the state's projector, paired with the operator's
-coefficients) are always cross-checked against the dense quadratic form
-of the matrix itself, a route that uses no Pauli transform.  Single-word
-cases pin individual expectations to their known values.  Optimizer
-tests pin the small-qubit hydrogen values that the nested chain must hit.
+The batched statevector propagation is checked against a dense circuit
+built from Kronecker products, and each of its rows against the single
+state bit for bit.  Energies from the Pauli-word route (word
+expectations from decompose of the state's projector, paired with the
+operator's coefficients; what ``sampled_energy`` measures) and from
+``energy`` are cross-checked against the dense quadratic form of the
+matrix itself, and ``energy`` against an extended-precision one.
+Single-word cases pin individual expectations to their known values.
+Optimizer tests pin the small-qubit hydrogen values that the nested
+chain must hit.
 """
 import math
 
@@ -33,6 +37,7 @@ from zetavac.vqe import (
     warm_start_embed,
     warm_started_chain,
 )
+from zetavac.vqe import _propagate, _word_expectations
 
 GROUND_Q1 = 0.392108816647
 GROUND_Q2 = 0.229395425745
@@ -84,6 +89,51 @@ class TestApplyAnsatz:
         with pytest.raises(ParamLengthMismatch):
             apply_ansatz(AnsatzSpec(2, 2), np.zeros(5))
 
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("Q", [1, 2, 3, 4])
+    def test_matches_dense_circuit(self, Q, layers):
+        spec = AnsatzSpec(Q, layers)
+        p = np.random.default_rng(10 * Q + layers).uniform(-math.pi, math.pi, spec.n_params)
+        assert_allclose(apply_ansatz(spec, p), _dense_circuit(spec, p), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("batch", ["1", "12", "2P"])
+    @pytest.mark.parametrize("Q", [1, 2, 4, 5])
+    def test_batched_rows_match_single_states_bitwise(self, Q, batch):
+        spec = AnsatzSpec(Q, 3)
+        C = 2 * spec.n_params if batch == "2P" else int(batch)
+        params = np.random.default_rng(Q).uniform(-math.pi, math.pi, (C, spec.n_params))
+        states = _propagate(spec, params)
+        assert states.shape == (C, 1 << Q) and states.flags.c_contiguous
+        for row, p in zip(states, params):
+            assert row.tobytes() == apply_ansatz(spec, p).tobytes()
+
+
+def _dense_circuit(spec, params):
+    """The ansatz as 2^Q x 2^Q matrices; qubit q is bit q of the basis index."""
+    Q, L = spec.qubits, spec.layers
+
+    def rotation(theta, phi):  # R_z(phi) R_y(theta)
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        rz = np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
+        return rz @ np.array([[c, -s], [s, c]])
+
+    cz_chain = np.eye(1 << Q)
+    for q in range(Q - 1):
+        for b in range(1 << Q):
+            if (b >> q) & 1 and (b >> (q + 1)) & 1:
+                cz_chain[b, b] *= -1.0
+    psi = np.zeros(1 << Q, dtype=complex)
+    psi[0] = 1.0
+    for layer in range(L + 1):
+        U = np.eye(1)
+        for q in reversed(range(Q)):  # the most significant qubit is the left factor
+            k = 2 * (layer * Q + q)
+            U = np.kron(U, rotation(params[k], params[k + 1]))
+        psi = U @ psi
+        if layer < L:
+            psi = cz_chain @ psi
+    return psi
+
 
 class TestEnergy:
     def test_sigma_z_on_zero_state(self):
@@ -107,9 +157,19 @@ class TestEnergy:
         M = (B + B.conj().T) / 2.0
         psi = rng.normal(size=2**Q) + 1j * rng.normal(size=2**Q)
         psi /= np.linalg.norm(psi)
-        got = energy(psi, decompose(M))
+        c = decompose(M)
         want = float(np.vdot(psi, M @ psi).real)
-        assert got == pytest.approx(want, abs=1e-10 * max(1.0, abs(want)))
+        for got in (energy(psi, c), float(c.coeffs @ _word_expectations(psi, c))):
+            assert got == pytest.approx(want, abs=1e-10 * max(1.0, abs(want)))
+
+    def test_eight_qubit_ground_state_to_extended_precision(self):
+        # the word sum's rounding scale, eps * sum_q |c_q|, is 1.8e-12 here
+        H = hydrogen_matrix(256)
+        c = decompose(H)
+        psi = eig_hermitian(H).vectors[:, 0]
+        M, x = reconstruct(c).astype(np.clongdouble), psi.astype(np.clongdouble)
+        want = ((x.conj() @ M) * x).sum().real
+        assert abs(energy(psi, c) - want) <= 1e-15
 
     def test_dimension_mismatch(self):
         c = PauliCoefficients(2, np.zeros(16))
@@ -183,7 +243,7 @@ class TestMinimize:
     def test_single_qubit_cg_hits_table_value(self):
         c = decompose(hydrogen_matrix(2))
         res = minimize(AnsatzSpec(1, 1), c, OptimizerConfig(seed=0), initial=np.zeros(4))
-        assert isinstance(res, MinimizeResult)
+        assert isinstance(res, MinimizeResult) and res.converged
         assert abs(res.energy - GROUND_Q1) <= 1e-8
         assert len(res.trace) >= 1
         for row in res.trace:
@@ -265,6 +325,7 @@ class TestWarmStartedChain:
             assert math.isfinite(res.energy)
             assert res.energy >= e0 - 1e-12
             assert 1 <= len(res.trace) <= 3
+            assert not res.converged
         for a, b in zip(first, second):
             assert a.energy == b.energy
             assert np.array_equal(a.params, b.params)
