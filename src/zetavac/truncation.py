@@ -16,12 +16,13 @@ operator has no imaginary part.
 NumPy and SciPy each load their own OpenBLAS thread pool, and a pool's
 workers keep spinning after a call, so a call into one pool right after
 a call into the other competes with them for the cores.  The rule is:
-SciPy's LAPACK and BLAS only for the subset eigensolve and its residual
+SciPy's LAPACK and BLAS only for the ground-state solve and its residual
 (``spectral.smallest_eigenpair`` and ``vacuum_state``), NumPy's for
 everything else, the Schatten eigenvalues included.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,12 +90,14 @@ class DiscretizedVacuum:
 
     ``residual`` is ``||H state - energy * state||_2 / max|H|``.  Since
     ``max|H| <= ||H||_2`` it bounds the usual relative residual from above.
+    ``iterations`` counts the LOBPCG iterations of the solve.
     """
 
     n: int
     energy: float
     state: np.ndarray
     residual: float
+    iterations: int
 
     def __post_init__(self):
         state = np.asarray(self.state, dtype=complex)
@@ -118,9 +121,8 @@ def project_operator(element, n: int, check_pairs: int = 8) -> np.ndarray:
     one call per upper-triangle entry, written with its conjugate mirror
     in two indexed assignments, so the result is Hermitian bit-exactly
     (the diagonal holds ``conj(element(l, l))``) and the leading principal
-    submatrices agree exactly across sizes.  A non-finite sampled pair
-    raises HermiticityViolation, and any other non-finite element
-    NonHermitianInput.
+    submatrices agree exactly across sizes.  A non-finite element raises
+    NonHermitianInput, wherever it sits.
     """
     if n < 1:
         raise ValueError("basis size must be at least 1")
@@ -128,7 +130,9 @@ def project_operator(element, n: int, check_pairs: int = 8) -> np.ndarray:
     for a, l in enumerate(sample):
         for k in sample[a:]:
             lk, kl = complex(element(l, k)), complex(element(k, l))
-            if not abs(lk - kl.conjugate()) <= 1e-12 * max(1.0, abs(lk)):  # NaN fails too
+            if not (cmath.isfinite(lk) and cmath.isfinite(kl)):
+                raise NonHermitianInput(f"element({l},{k})={lk} or element({k},{l})={kl} is not finite")
+            if abs(lk - kl.conjugate()) > 1e-12 * max(1.0, abs(lk)):
                 raise HermiticityViolation(
                     f"element({l},{k})={lk} vs conj(element({k},{l}))={kl.conjugate()}"
                 )
@@ -144,17 +148,17 @@ def project_operator(element, n: int, check_pairs: int = 8) -> np.ndarray:
 
 
 def vacuum_state(H) -> DiscretizedVacuum:
-    """Ground-state energy, vector and residual of a truncated Hamiltonian."""
-    _, state = smallest_eigenpair(H)
+    """Ground-state energy, vector, residual and solver iteration count."""
+    _, state, iterations = smallest_eigenpair(H)
     H = np.asarray(H, dtype=complex)
     # H @ state in SciPy's pool, where the eigensolve just ran: H.T is the
     # Fortran-ordered view of H, and trans=1 applies its transpose
     h_state = scipy.linalg.blas.zgemv(1.0, H.T, state, trans=1)
-    # the Rayleigh quotient is exact to rounding; LAPACK's eigenvalue is
-    # off by about eps * ||H||, which grows like n^2
+    # energy and residual from a fresh product: the solver's eigenvalue
+    # comes from its recursively updated H x
     energy = float(np.vdot(state, h_state).real)
     residual = np.linalg.norm(h_state - energy * state) / max(np.abs(H).max(), 1e-300)
-    return DiscretizedVacuum(H.shape[0], energy, state, float(residual))
+    return DiscretizedVacuum(H.shape[0], energy, state, float(residual), iterations)
 
 
 def expectation(state, A) -> float:

@@ -269,7 +269,8 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
 
     Raises StalledOptimization -- carrying the best parameters, energy
     and trace -- when max_iter iterations pass without that happening,
-    i.e. the run was cut off rather than finished.
+    i.e. the run was cut off rather than finished.  Its trace ends with a
+    row for the point it stopped at, iteration ``max_iter``.
     """
     if spec.qubits != c.qubits:
         raise SpecMismatch(f"ansatz on {spec.qubits} qubits, coefficients on {c.qubits}")
@@ -319,9 +320,12 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
         if sy > 0.0:  # BFGS update, skipped where the curvature condition fails
             hy = hinv @ y
             hinv += ((sy + y @ hy) * np.outer(s, s) / sy - np.outer(s, hy) - np.outer(hy, s)) / sy
+    # the point it stopped at, so the last row matches the carried energy
+    gnorm = float(np.linalg.norm(g))
+    trace.append({"iteration": cfg.max_iter, "energy": fx, "gradient_norm": gnorm, "params_hash": _params_hash(x)})
     raise StalledOptimization(
         f"no convergence within max_iter={cfg.max_iter} iterations "
-        f"(gradient norm {np.linalg.norm(g):.3e})",
+        f"(gradient norm {gnorm:.3e})",
         params=x,
         energy=fx,
         trace=trace,

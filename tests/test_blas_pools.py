@@ -6,7 +6,7 @@ the other competes with them (the ``truncation`` module docstring states the
 rule).  No timing-free test would see that contention come back, so these
 tests read the package source instead: ``scipy.linalg`` is used only in
 ``spectral.smallest_eigenpair`` and ``truncation.vacuum_state``, and
-``vacuum_state`` takes no NumPy matrix product.
+neither takes a NumPy matrix product.
 """
 import ast
 import pathlib
@@ -97,6 +97,11 @@ def test_scipy_linalg_only_in_the_ground_state_solve():
 def test_vacuum_state_takes_no_numpy_matrix_product():
     func = _function((SRC / "truncation.py").read_text(), "vacuum_state")
     assert not matrix_products(func), f"matrix product in vacuum_state at lines {matrix_products(func)}"
+
+
+def test_smallest_eigenpair_takes_no_numpy_matrix_product():
+    func = _function((SRC / "spectral.py").read_text(), "smallest_eigenpair")
+    assert not matrix_products(func), f"matrix product in smallest_eigenpair at lines {matrix_products(func)}"
 
 
 @pytest.mark.parametrize(

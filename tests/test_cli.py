@@ -162,6 +162,9 @@ class TestHydrogenConvergenceCommand:
         fit = read_json(tmp_path / "fit.json")
         assert fit["reference_abscissa"] == 32
         assert {"a", "b", "r_squared", "config_hash", "version"} <= fit.keys()
+        vacua = [vacuum_state(hydrogen_matrix(n, HydrogenParams())) for n in (8, 16, 24, 32)]
+        assert fit["max_vacuum_residual"] == max(v.residual for v in vacua)
+        assert fit["max_vacuum_iterations"] == max(v.iterations for v in vacua)
 
     def test_two_points_skip_fit_with_warning(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -192,11 +195,13 @@ class TestHydrogenConvergenceCommand:
         solve = cli.vacuum_state
         monkeypatch.setattr(
             cli, "vacuum_state",
-            lambda H: dataclasses.replace(solve(H), residual=1e-9) if len(H) == 16 else solve(H),
+            lambda H: dataclasses.replace(solve(H), residual=1e-9, iterations=999)
+            if len(H) == 16 else solve(H),
         )
         code, _, err = self.run_small(tmp_path, capsys, extra=["--check"])
         assert code == 4
         assert "vacuum residual 1.000e-09 at n=16 above 1e-12" in err
+        assert "most solver iterations: 999 at n=16" in err
 
     def test_qubit_mode(self, tmp_path, capsys):
         code, _, _ = run_cli(
@@ -287,7 +292,24 @@ class TestVqeCommand:
             assert row["iterations"] == len(trace)
             assert row["gradient_norm"] == trace[-1]["gradient_norm"]
         if exit_reason == "max_iter":
-            assert all(row["iterations"] == 1 for row in rows)
+            # one BFGS iteration plus the row for the point it stopped at
+            assert all(row["iterations"] == 2 for row in rows)
+
+    def test_max_iter_rows_describe_the_stopping_point(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            ["vqe", "--out", str(tmp_path), "--set", "q_max=2", "--set", "layers=2",
+             "--set", "restarts=0", "--set", "max_iter=1"],
+            capsys,
+        )
+        assert code == 0
+        rows = read_json(tmp_path / "vqe_results.json")["rows"]
+        entries = [json.loads(line) for line in (tmp_path / "iterations.jsonl").read_text().splitlines()]
+        for row in rows:
+            last = [e for e in entries if e["qubits"] == row["qubits"]][-1]
+            assert row["exit"] == "max_iter"
+            assert last["iteration"] == 1
+            assert last["energy"] == row["vqe"]
+            assert last["gradient_norm"] == row["gradient_norm"]
 
     def test_shots_add_sampled_columns(self, tmp_path, capsys):
         code, _, _ = run_cli(

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from zetavac.errors import DimensionMismatch, NonHermitianInput
+from zetavac import spectral
+from zetavac.errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 from zetavac.spectral import (
     EigenSystem,
     eig_hermitian,
@@ -70,16 +73,40 @@ def test_eigensystem_rejects_decreasing_values():
         EigenSystem(np.array([2.0, 1.0]), np.eye(2, dtype=complex))
 
 
-@pytest.mark.parametrize("n", [1, 3, 40, 200])
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 200])
 def test_smallest_eigenpair_matches_dense(n):
     M = random_hermitian(n, seed=n)
-    assert_same_ground_pair(*smallest_eigenpair(M), M)
+    val, vec, _ = smallest_eigenpair(M)
+    assert_same_ground_pair(val, vec, M)
 
 
 def test_smallest_eigenpair_diagonal():
-    val, vec = smallest_eigenpair(np.diag([5.0, -2.0, 9.0]))
+    # the start vector is the exact eigenvector: no iteration runs
+    val, vec, iterations = smallest_eigenpair(np.diag([5.0, -2.0, 9.0]))
     assert val == pytest.approx(-2.0, abs=1e-14)
     assert np.abs(vec - [0.0, 1.0, 0.0]).max() < 1e-14
+    assert iterations == 0
+
+
+def test_certificate_rejects_excited_state():
+    # e_0 sits at the smallest diagonal entry and is an exact eigenvector
+    # with eigenvalue 0, so the iteration stops there at once; the other
+    # block has eigenvalues -4 and 13/8, and only the Cholesky sees the -4
+    block = np.eye(9) - 5.0 / 8.0 * (np.ones((9, 9)) - np.eye(9))
+    M = np.zeros((10, 10))
+    M[1:, 1:] = block
+    assert np.linalg.eigvalsh(M)[0] == pytest.approx(-4.0)
+    with pytest.raises(ConvergenceFailure, match="eigenvalue lies below"):
+        smallest_eigenpair(M)
+
+
+def test_iteration_cap_raises_without_warnings(monkeypatch):
+    # a random n = 40 matrix takes 67 iterations
+    monkeypatch.setattr(spectral, "_MAX_ITER", 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceFailure, match="after 5 iterations"):
+            smallest_eigenpair(random_hermitian(40, seed=40))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

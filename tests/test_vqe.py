@@ -37,7 +37,7 @@ from zetavac.vqe import (
     warm_start_embed,
     warm_started_chain,
 )
-from zetavac.vqe import _propagate, _word_expectations
+from zetavac.vqe import _params_hash, _propagate, _word_expectations
 
 GROUND_Q1 = 0.392108816647
 GROUND_Q2 = 0.229395425745
@@ -285,7 +285,10 @@ class TestMinimize:
         stall = exc.value
         assert stall.params.shape == (AnsatzSpec(3, 2).n_params,)
         assert isinstance(stall.energy, float)
-        assert len(stall.trace) == 2
+        # two iterations, then the point it stopped at
+        assert len(stall.trace) == 3
+        assert stall.trace[-1]["energy"] == stall.energy
+        assert stall.trace[-1]["params_hash"] == _params_hash(stall.params)
         # the carried energy is the energy of the carried parameters
         psi = apply_ansatz(AnsatzSpec(3, 2), stall.params)
         assert stall.energy == pytest.approx(energy(psi, c), abs=1e-12)
@@ -324,7 +327,7 @@ class TestWarmStartedChain:
         for res, e0 in zip(first, exact):
             assert math.isfinite(res.energy)
             assert res.energy >= e0 - 1e-12
-            assert 1 <= len(res.trace) <= 3
+            assert len(res.trace) == cfg.max_iter + 1
             assert not res.converged
         for a, b in zip(first, second):
             assert a.energy == b.energy
