@@ -19,9 +19,7 @@ from .gauge import (
 from .models import (
     FreeFieldParams,
     HydrogenParams,
-    fock_alpha,
     fock_zeta_ratio,
-    freefield_dispersion,
     freefield_zeta_ratio,
     hydrogen_element,
     hydrogen_matrix,
@@ -39,15 +37,12 @@ from .spectral import (
     EigenSystem,
     eig_hermitian,
     require_hermitian,
-    smallest_eigenpair,
 )
 from .truncation import (
     DiscretizedVacuum,
     SobolevWeight,
-    expectation,
     index_of_mode,
     mode_list,
-    mode_of_index,
     project_operator,
     schatten_convergence_probe,
     strong_convergence_probe,

@@ -226,10 +226,14 @@ _VACUUM_RESIDUAL_BOUND = 1e-12
 def cmd_hydrogen_convergence(cfg, out_dir, check) -> int:
     params = HydrogenParams(m=cfg["m"], q=cfg["q"])
     if cfg["mode"] == "dimension":
+        if cfg["n_step"] < 1 or not 1 <= cfg["n_start"] <= cfg["n_stop"]:
+            raise ConfigError("need n_step >= 1 and 1 <= n_start <= n_stop")
         abscissa = list(range(cfg["n_start"], cfg["n_stop"] + 1, cfg["n_step"]))
         dims = abscissa
         ref_dim, expected_rate = cfg["n_ref"], 0.00644
     elif cfg["mode"] == "qubits":
+        if cfg["q_max"] < 1:
+            raise ConfigError(f"q_max must be at least 1, got {cfg['q_max']}")
         abscissa = list(range(1, cfg["q_max"] + 1))
         dims = [1 << a for a in abscissa]
         ref_dim, expected_rate = 1 << cfg["q_ref"], 1.92
@@ -287,8 +291,8 @@ def cmd_hydrogen_convergence(cfg, out_dir, check) -> int:
 
 
 def cmd_vqe(cfg, out_dir, check) -> int:
-    if cfg["q_max"] > 12:
-        raise ConfigError(f"q_max {cfg['q_max']} exceeds the 12-qubit statevector guard")
+    if not 1 <= cfg["q_max"] <= 12 or cfg["layers"] < 1:
+        raise ConfigError("need layers >= 1 and q_max in 1..12 (the 12-qubit statevector guard)")
     params = HydrogenParams(m=cfg["m"], q=cfg["q"])
     opt = OptimizerConfig(seed=cfg["seed"], max_iter=cfg["max_iter"])
     coeff_list, exact = [], []
@@ -326,6 +330,8 @@ def cmd_vqe(cfg, out_dir, check) -> int:
 
 
 def cmd_zeta(cfg, out_dir, check) -> int:
+    if not cfg["n_list"] or min(cfg["n_list"] + [cfg["z_re_points"], cfg["z_im_points"]]) < 1:
+        raise ConfigError("n_list must be non-empty and every size and point count at least 1")
     params = HydrogenParams(m=cfg["m"], q=cfg["q"])
     z_re = np.linspace(cfg["z_re_min"], cfg["z_re_max"], cfg["z_re_points"])
     z_im = np.linspace(cfg["z_im_min"], cfg["z_im_max"], cfg["z_im_points"])
@@ -412,6 +418,8 @@ def cmd_zeta(cfg, out_dir, check) -> int:
 def cmd_pauli_export(cfg, out_dir, check) -> int:
     params = HydrogenParams(m=cfg["m"], q=cfg["q"])
     Q = cfg["qubits"]
+    if Q < 1:
+        raise ConfigError(f"qubits must be at least 1, got {Q}")
     H = hydrogen_matrix(1 << Q, params)
     c = decompose(H)
     cfg_hash = _config_hash(cfg)
@@ -461,6 +469,8 @@ def cmd_lemma_probes(cfg, out_dir, check) -> int:
     params = HydrogenParams(m=cfg["m"], q=cfg["q"])
     n_ref = cfg["n_ref"]
     n_list = list(cfg["n_list"])
+    if not n_list or min(n_list) < 1 or n_ref < 2 * max(n_list):
+        raise ConfigError(f"need positive sizes in n_list and n_ref >= 2 * max(n_list), got n_ref={n_ref}")
     H = hydrogen_matrix(n_ref, params)
     vac = vacuum_state(H).state
     strong = {

@@ -1,8 +1,9 @@
 """Gauge-regularized expectation ratios on truncated operators.
 
 Everything here evaluates variants of <psi, H^z A psi> / <psi, H^z psi>
-on finite grids: the pointwise ratio, a sweep over grid sizes, the
-time-damped trace version, and a scan for zeros of the denominator.
+on finite grids: the pointwise ratio, a sweep over grid sizes that masks
+collapsed denominators, the time-damped trace version, and a scan for
+zeros of the denominator.
 No H^z is formed: each is a spectral sum sum_j lambda_j^z w_j in the
 eigenbasis of H, evaluated by one function for all of them.
 """
@@ -19,7 +20,6 @@ from .errors import (
     SingularFunctionValue,
 )
 from .spectral import EigenSystem, eig_hermitian
-from .truncation import project_operator
 
 __all__ = [
     "ZetaRatioSample",
@@ -49,24 +49,15 @@ class ZetaRatioSample:
 
 @dataclass(frozen=True)
 class ZGrid:
-    """Complex sample points with an exclusion radius around known zeros."""
+    """Distinct complex sample points."""
 
     points: np.ndarray
-    exclusion_radius: float = 0.0
-    zeros: tuple = ()
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex).ravel()
         if np.unique(pts).size != pts.size:
             raise ValueError("grid points must be distinct")
         object.__setattr__(self, "points", pts)
-
-    def admissible(self) -> np.ndarray:
-        """Mask of points farther than the exclusion radius from every zero."""
-        mask = np.ones(self.points.size, dtype=bool)
-        for z0 in self.zeros:
-            mask &= np.abs(self.points - z0) > self.exclusion_radius
-        return mask
 
 
 def _ground_state(system: EigenSystem):
@@ -134,21 +125,13 @@ def gauge_ratio(H, A, z: complex, system: EigenSystem | None = None) -> ZetaRati
     return ZetaRatioSample(z=z, numerator=num, denominator=den, ratio=num / den)
 
 
-def ratio_convergence_scan(
-    element_h,
-    element_a,
-    grid: ZGrid,
-    n_list,
-    builder_h=None,
-    builder_a=None,
-) -> dict:
+def ratio_convergence_scan(build_h, build_a, grid: ZGrid, n_list) -> dict:
     """Gauge ratios across grid sizes with consecutive-size residuals.
 
-    ``element_h``/``element_a`` are matrix-element functions; a vectorized
-    ``builder(n) -> matrix`` can be supplied for either to skip the
-    element-by-element projection on large grids.  Points of the grid
-    where the denominator collapses are flagged in the returned
-    ``excluded`` mask instead of aborting the sweep.
+    ``build_h(n)`` and ``build_a(n)`` return the size-``n`` matrices of H
+    and A.  Points of the grid where the denominator collapses at any
+    size are flagged in the returned ``excluded`` mask, and their ratios
+    set to NaN, instead of aborting the sweep.
 
     Returns a dict with keys ``n`` (sizes), ``z`` (points), ``ratios``
     (len(n) x len(z) complex), ``residuals`` (len(n)-1 x len(z) absolute
@@ -158,12 +141,10 @@ def ratio_convergence_scan(
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("need at least 3 strictly increasing grid sizes")
     pts = grid.points
-    keep = grid.admissible()
     ratios = np.full((len(n_list), pts.size), np.nan + 0j)
-    excluded = ~keep
+    excluded = np.zeros(pts.size, dtype=bool)
     for i, n in enumerate(n_list):
-        H = builder_h(n) if builder_h is not None else project_operator(element_h, n)
-        A = builder_a(n) if builder_a is not None else project_operator(element_a, n)
+        H, A = build_h(n), build_a(n)
         system = eig_hermitian(H)
         for j, z in enumerate(pts):
             if excluded[j]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.special
@@ -25,10 +24,8 @@ __all__ = [
     "position_element",
     "position_matrix",
     "FreeFieldParams",
-    "freefield_dispersion",
     "freefield_zeta_ratio",
     "log_gamma",
-    "fock_alpha",
     "fock_zeta_ratio",
 ]
 
@@ -142,19 +139,6 @@ class FreeFieldParams:
             raise ValueError(f"circumference X must be positive, got {self.X}")
 
 
-def freefield_dispersion(p: Sequence[int], X: float) -> float:
-    """Massless dispersion 2*pi*||p||/X for momentum 3-vector p on a torus.
-
-    X is the circumference of each of the three periodic directions.
-    """
-    if not X > 0:
-        raise ValueError(f"circumference X must be positive, got {X}")
-    vec = np.asarray(p, dtype=float)
-    if vec.shape != (3,):
-        raise ValueError(f"momentum must be a 3-vector, got shape {vec.shape}")
-    return 2.0 * math.pi * float(np.linalg.norm(vec)) / X
-
-
 def freefield_zeta_ratio(params: FreeFieldParams) -> complex:
     """Regularized particle-number ratio for the single-mode state.
 
@@ -168,23 +152,6 @@ def freefield_zeta_ratio(params: FreeFieldParams) -> complex:
     num = params.N * cmath.exp(log_gamma(z + 4.0) - (z + 4.0) * log_it)
     den = cmath.exp(log_gamma(z + 3.0) - (z + 3.0) * log_it)
     return num / den
-
-
-def fock_alpha(N: int, z: complex, T: float, v: float = 4.0 * math.pi) -> complex:
-    """Normalization factor making each N-particle sector equal 1 at z=0."""
-    if N < 1:
-        raise ValueError(f"sector N must be at least 1, got {N}")
-    z = complex(z)
-    log_it = math.log(T) + 1j * math.pi / 2.0
-    return cmath.exp(
-        z * math.log(N)
-        + z * math.log(v)
-        + log_gamma(4.0)
-        + N * log_gamma(3.0)
-        - log_gamma(z + 4.0)
-        - N * log_gamma(z + 3.0)
-        + N * z * log_it
-    )
 
 
 def _fock_log_terms(z: complex, T: float, cutoff: int, v: float):

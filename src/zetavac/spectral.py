@@ -1,19 +1,17 @@
 """Dense Hermitian spectral tools.
 
-Hermitian-input validation, eigendecomposition with a deterministic
-eigenvector phase convention, and a certified iterative solve for the
-smallest eigenpair.  Functions of an operator (H^z, damped evolution) are
-never assembled as matrices: ``gauge`` evaluates them as sums over the
-spectrum.  ``smallest_eigenpair`` runs in SciPy's BLAS and LAPACK and
-``eig_hermitian`` in NumPy's; the ``truncation`` module docstring gives the
-rule and its reason.
+Hermitian-input validation and eigendecomposition with a deterministic
+eigenvector phase convention.  Functions of an operator (H^z, damped
+evolution) are never assembled as matrices: ``gauge`` evaluates them as
+sums over the spectrum.  ``eig_hermitian`` runs in NumPy's LAPACK; the
+ground-state solve, ``truncation.vacuum_state``, runs in SciPy's (the
+``truncation`` module docstring gives the rule and its reason).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 
@@ -21,7 +19,6 @@ __all__ = [
     "EigenSystem",
     "require_hermitian",
     "eig_hermitian",
-    "smallest_eigenpair",
 ]
 
 
@@ -93,99 +90,3 @@ def eig_hermitian(M) -> EigenSystem:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceFailure(f"dense eigensolver did not converge: {exc}") from exc
     return EigenSystem(vals, _fix_phases(vecs))
-
-
-# A hydrogen solve takes 14-21 iterations at n = 8..4096, a random
-# Hermitian matrix 67-447 at n = 40..2048.
-_MAX_ITER = 5000
-
-
-def smallest_eigenpair(M) -> tuple[float, np.ndarray, int]:
-    """Smallest eigenvalue and eigenvector of a Hermitian matrix, certified.
-
-    Block-size-1 LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517)
-    from the unit vector e_j at the smallest diagonal entry d_j, with the
-    diagonal preconditioner 1 / (d - d_j + ||H[:, j] off the diagonal||),
-    which is positive for any Hermitian H and unchanged by a shift of H by
-    a multiple of the identity.  Each iteration takes one product with H
-    and a Rayleigh-Ritz step on the orthonormalised span of the iterate,
-    the preconditioned residual and the previous direction.  It stops once
-    ||H x - theta x||_2 <= 1e-14 * max|H|.
-
-    An iterative solve can stop on an excited state whose eigenvector the
-    start vector is orthogonal to, so the result is certified: a Cholesky
-    factorization of H - (E - delta) I, delta = 1e-10 * max|H|, exists
-    only if no eigenvalue lies below E - delta.  ConvergenceFailure is
-    raised when it does not exist, or when the residual bound is not met
-    within the iteration cap.  The eigenvector carries the same phase
-    convention as ``eig_hermitian``.
-
-    Returns
-    -------
-    (value, vector, iterations)
-        The eigenvalue, a unit-norm, phase-fixed eigenvector and the
-        number of LOBPCG iterations taken.
-    """
-    M = require_hermitian(M)
-    blas = scipy.linalg.blas
-    n = M.shape[0]
-    scale = max(np.abs(M).max(), np.finfo(float).tiny)
-    d = M.diagonal().real
-    j = int(np.argmin(d))
-    # columns: the iterate x, the previous direction p (from the second
-    # iteration on) and the preconditioned residual w; HV holds H times each
-    V = np.zeros((n, 3), dtype=complex, order="F")
-    HV = np.zeros_like(V)
-    V[j, 0] = 1.0
-    HV[:, 0] = M[:, j]
-    k = 1
-    for it in range(_MAX_ITER):
-        theta = blas.zdotc(V[:, 0], HV[:, 0]).real
-        r = HV[:, 0] - theta * V[:, 0]
-        rnorm = blas.dznrm2(r)
-        if rnorm <= 1e-14 * scale:
-            break
-        if it == 0:  # r is H[:, j] off the diagonal
-            precond = 1.0 / (d - d[j] + rnorm)
-        w = precond * r
-        for _ in range(2):  # Gram-Schmidt against x and p, twice
-            c = blas.zgemv(1.0, V[:, :k], w, trans=2)
-            w = blas.zgemv(-1.0, V[:, :k], c, beta=1.0, y=w, overwrite_y=1)
-        wnorm = blas.dznrm2(w)
-        if wnorm == 0.0:
-            raise ConvergenceFailure("LOBPCG found no search direction outside its basis")
-        V[:, k] = w / wnorm
-        # M.T is the Fortran-ordered view of M; trans=1 applies M
-        HV[:, k] = blas.zgemv(1.0, M.T, V[:, k], trans=1)
-        k += 1
-        _, ritz, info = scipy.linalg.lapack.zheev(blas.zgemm(1.0, V[:, :k], HV[:, :k], trans_a=2))
-        if info != 0:
-            raise ConvergenceFailure(f"Rayleigh-Ritz eigensolve failed (info={info})")
-        c = ritz[:, 0]
-        x, hx = blas.zgemv(1.0, V[:, :k], c), blas.zgemv(1.0, HV[:, :k], c)
-        p, hp = blas.zgemv(1.0, V[:, 1:k], c[1:]), blas.zgemv(1.0, HV[:, 1:k], c[1:])
-        xnorm = blas.dznrm2(x)
-        V[:, 0], HV[:, 0] = x / xnorm, hx / xnorm
-        a = blas.zdotc(V[:, 0], p)
-        p -= a * V[:, 0]
-        hp -= a * HV[:, 0]
-        pnorm = blas.dznrm2(p)
-        k = 1
-        if pnorm > 0.0:
-            V[:, 1], HV[:, 1] = p / pnorm, hp / pnorm
-            k = 2
-    else:
-        raise ConvergenceFailure(
-            f"LOBPCG residual {rnorm:.3e} above {1e-14 * scale:.3e} after {_MAX_ITER} iterations"
-        )
-    delta = 1e-10 * scale
-    shifted = M.copy()
-    shifted.flat[:: n + 1] -= theta - delta
-    # Hermitian, so the Fortran-ordered view is the conjugate, which is
-    # positive definite exactly when the matrix is
-    _, info = scipy.linalg.lapack.zpotrf(shifted.T, overwrite_a=1, clean=0)
-    if info != 0:
-        raise ConvergenceFailure(
-            f"LOBPCG stopped at {theta!r}, but an eigenvalue lies below it by more than {delta:.3e}"
-        )
-    return float(theta), _fix_phases(V[:, :1])[:, 0], it

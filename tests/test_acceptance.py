@@ -156,14 +156,7 @@ def test_criterion_7b_cauchy_residuals_shrink(criterion):
         )
         sizes = [8, 16, 32, 64, 128, 256, 512]
         for builder_a in (lambda n: hydrogen_matrix(n, PARAMS), position_matrix):
-            scan = ratio_convergence_scan(
-                None,
-                None,
-                grid,
-                sizes,
-                builder_h=lambda n: hydrogen_matrix(n, PARAMS),
-                builder_a=builder_a,
-            )
+            scan = ratio_convergence_scan(lambda n: hydrogen_matrix(n, PARAMS), builder_a, grid, sizes)
             assert not scan["excluded"].any()
             residuals = scan["residuals"]
             assert np.all(residuals[1:] <= 1.1 * residuals[:-1])

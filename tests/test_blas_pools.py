@@ -5,8 +5,7 @@ keep spinning after a call, so a call into one pool right after a call into
 the other competes with them (the ``truncation`` module docstring states the
 rule).  No timing-free test would see that contention come back, so these
 tests read the package source instead: ``scipy.linalg`` is used only in
-``spectral.smallest_eigenpair`` and ``truncation.vacuum_state``, and
-neither takes a NumPy matrix product.
+``truncation.vacuum_state``, and it takes no NumPy matrix product.
 """
 import ast
 import pathlib
@@ -14,7 +13,7 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "zetavac"
-SCIPY_LINALG_USERS = {("spectral", "smallest_eigenpair"), ("truncation", "vacuum_state")}
+SCIPY_LINALG_USERS = {("truncation", "vacuum_state")}
 PRODUCT_CALLS = {"dot", "matmul", "einsum"}
 
 
@@ -97,11 +96,6 @@ def test_scipy_linalg_only_in_the_ground_state_solve():
 def test_vacuum_state_takes_no_numpy_matrix_product():
     func = _function((SRC / "truncation.py").read_text(), "vacuum_state")
     assert not matrix_products(func), f"matrix product in vacuum_state at lines {matrix_products(func)}"
-
-
-def test_smallest_eigenpair_takes_no_numpy_matrix_product():
-    func = _function((SRC / "spectral.py").read_text(), "smallest_eigenpair")
-    assert not matrix_products(func), f"matrix product in smallest_eigenpair at lines {matrix_products(func)}"
 
 
 @pytest.mark.parametrize(

@@ -113,6 +113,27 @@ class TestConfigHandling:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a size that leaves nothing to compute or check is a configuration error
+            ["zeta", "--check", "--set", "n_list=[]"],
+            ["zeta", "--check", "--set", "z_re_points=0"],
+            ["vqe", "--check", "--set", "q_max=0"],
+            ["vqe", "--set", "layers=0"],
+            ["lemma-probes", "--set", "n_list=[]"],
+            ["lemma-probes", "--set", "n_ref=16"],
+            ["hydrogen-convergence", "--set", "n_step=0"],
+            ["hydrogen-convergence", "--set", "n_start=100", "--set", "n_stop=50"],
+            ["pauli-export", "--set", "qubits=0"],
+        ],
+    )
+    def test_out_of_range_size_exits_2(self, tmp_path, capsys, argv):
+        code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+        assert code == 2, err
+        assert "config error" in err
+        assert not list(tmp_path.iterdir())
+
     def test_set_overrides_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_start = 8\nn_stop = 16\nn_step = 8\nn_ref = 32\n")

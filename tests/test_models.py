@@ -18,9 +18,7 @@ from zetavac.errors import GammaPole, SeriesDivergence
 from zetavac.models import (
     FreeFieldParams,
     HydrogenParams,
-    fock_alpha,
     fock_zeta_ratio,
-    freefield_dispersion,
     freefield_zeta_ratio,
     hydrogen_element,
     hydrogen_matrix,
@@ -142,24 +140,6 @@ class TestPositionElements:
                 assert X[i, j] == position_element(md[i], md[j])
 
 
-class TestDispersion:
-    def test_examples(self):
-        assert freefield_dispersion((0, 0, 0), 1.0) == 0.0
-        assert freefield_dispersion((1, 0, 0), 2.0 * math.pi) == pytest.approx(1.0)
-        assert freefield_dispersion((1, 1, 1), 1.0) == pytest.approx(
-            2.0 * math.pi * math.sqrt(3.0)
-        )
-
-    def test_zero_only_at_origin(self):
-        assert freefield_dispersion((0, 0, -1), 3.0) > 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            freefield_dispersion((1, 0, 0), 0.0)
-        with pytest.raises(ValueError):
-            freefield_dispersion((1, 0), 1.0)
-
-
 class TestLogGamma:
     def test_known_values(self):
         assert log_gamma(4.0) == pytest.approx(math.log(6.0), abs=1e-14)
@@ -234,14 +214,6 @@ def fock_direct_sum(z, T, cutoff, v=4.0 * math.pi):
 
 
 class TestFockRatio:
-    def test_alpha_is_one_at_zero(self):
-        for N in (1, 2, 7, 40):
-            assert fock_alpha(N, 0.0, T=123.4) == pytest.approx(1.0, abs=1e-14)
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            fock_alpha(0, 0.0, T=5.0)
-
     @pytest.mark.parametrize("z", [0.0, 0.3 - 0.2j, -0.5 + 1.0j, -1.0])
     def test_matches_direct_summation(self, z):
         got = fock_zeta_ratio(z, 5.0, 30)

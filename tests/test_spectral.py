@@ -3,14 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from zetavac import spectral
+from zetavac import truncation
 from zetavac.errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 from zetavac.spectral import (
     EigenSystem,
     eig_hermitian,
     require_hermitian,
-    smallest_eigenpair,
 )
+from zetavac.truncation import vacuum_state
 
 from conftest import assert_same_ground_pair, random_hermitian
 
@@ -76,16 +76,16 @@ def test_eigensystem_rejects_decreasing_values():
 @pytest.mark.parametrize("n", [1, 2, 3, 40, 200])
 def test_smallest_eigenpair_matches_dense(n):
     M = random_hermitian(n, seed=n)
-    val, vec, _ = smallest_eigenpair(M)
-    assert_same_ground_pair(val, vec, M)
+    vac = vacuum_state(M)
+    assert_same_ground_pair(vac.energy, vac.state, M)
 
 
 def test_smallest_eigenpair_diagonal():
     # the start vector is the exact eigenvector: no iteration runs
-    val, vec, iterations = smallest_eigenpair(np.diag([5.0, -2.0, 9.0]))
-    assert val == pytest.approx(-2.0, abs=1e-14)
-    assert np.abs(vec - [0.0, 1.0, 0.0]).max() < 1e-14
-    assert iterations == 0
+    vac = vacuum_state(np.diag([5.0, -2.0, 9.0]))
+    assert vac.energy == pytest.approx(-2.0, abs=1e-14)
+    assert np.abs(vac.state - [0.0, 1.0, 0.0]).max() < 1e-14
+    assert vac.iterations == 0
 
 
 def test_certificate_rejects_excited_state():
@@ -97,20 +97,20 @@ def test_certificate_rejects_excited_state():
     M[1:, 1:] = block
     assert np.linalg.eigvalsh(M)[0] == pytest.approx(-4.0)
     with pytest.raises(ConvergenceFailure, match="eigenvalue lies below"):
-        smallest_eigenpair(M)
+        vacuum_state(M)
 
 
 def test_iteration_cap_raises_without_warnings(monkeypatch):
     # a random n = 40 matrix takes 67 iterations
-    monkeypatch.setattr(spectral, "_MAX_ITER", 5)
+    monkeypatch.setattr(truncation, "_MAX_ITER", 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceFailure, match="after 5 iterations"):
-            smallest_eigenpair(random_hermitian(40, seed=40))
+            vacuum_state(random_hermitian(40, seed=40))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("solve", [eig_hermitian, smallest_eigenpair])
+@pytest.mark.parametrize("solve", [eig_hermitian, vacuum_state])
 def test_non_finite_matrix_rejected(solve, bad):
     with pytest.raises(NonHermitianInput, match="non-finite"):
         solve([[1.0, bad], [bad, 2.0]])
