@@ -230,10 +230,12 @@ def cmd_hydrogen_convergence(cfg, out_dir, check) -> int:
             raise ConfigError("need n_step >= 1 and 1 <= n_start <= n_stop")
         abscissa = list(range(cfg["n_start"], cfg["n_stop"] + 1, cfg["n_step"]))
         dims = abscissa
+        if cfg["n_ref"] < 1:
+            raise ConfigError(f"n_ref must be at least 1, got {cfg['n_ref']}")
         ref_dim, expected_rate = cfg["n_ref"], 0.00644
     elif cfg["mode"] == "qubits":
-        if cfg["q_max"] < 1:
-            raise ConfigError(f"q_max must be at least 1, got {cfg['q_max']}")
+        if cfg["q_max"] < 1 or cfg["q_ref"] < 1:
+            raise ConfigError(f"need q_max and q_ref at least 1, got {cfg['q_max']} and {cfg['q_ref']}")
         abscissa = list(range(1, cfg["q_max"] + 1))
         dims = [1 << a for a in abscissa]
         ref_dim, expected_rate = 1 << cfg["q_ref"], 1.92
@@ -293,6 +295,8 @@ def cmd_hydrogen_convergence(cfg, out_dir, check) -> int:
 def cmd_vqe(cfg, out_dir, check) -> int:
     if not 1 <= cfg["q_max"] <= 12 or cfg["layers"] < 1:
         raise ConfigError("need layers >= 1 and q_max in 1..12 (the 12-qubit statevector guard)")
+    if cfg["max_iter"] < 1 or cfg["restarts"] < 0:
+        raise ConfigError(f"need max_iter >= 1 and restarts >= 0, got {cfg['max_iter']} and {cfg['restarts']}")
     params = HydrogenParams(m=cfg["m"], q=cfg["q"])
     opt = OptimizerConfig(seed=cfg["seed"], max_iter=cfg["max_iter"])
     coeff_list, exact = [], []
@@ -332,6 +336,9 @@ def cmd_vqe(cfg, out_dir, check) -> int:
 def cmd_zeta(cfg, out_dir, check) -> int:
     if not cfg["n_list"] or min(cfg["n_list"] + [cfg["z_re_points"], cfg["z_im_points"]]) < 1:
         raise ConfigError("n_list must be non-empty and every size and point count at least 1")
+    if cfg["ff_z_points"] < 1 or cfg["ff_n_max"] < 1 or len(cfg["ff_t_list"]) < 2:
+        # the identity check needs a z point, the slope fit two times
+        raise ConfigError("need ff_z_points >= 1, ff_n_max >= 1 and at least two ff_t_list values")
     params = HydrogenParams(m=cfg["m"], q=cfg["q"])
     z_re = np.linspace(cfg["z_re_min"], cfg["z_re_max"], cfg["z_re_points"])
     z_im = np.linspace(cfg["z_im_min"], cfg["z_im_max"], cfg["z_im_points"])

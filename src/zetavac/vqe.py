@@ -7,13 +7,12 @@ for many parameter sets at once, with the batch as the last, contiguous
 axis of the state, so each gate is three ufunc calls over the whole
 batch; this makes both the gradient and the line search essentially
 free.  The classical loop is BFGS on exact parameter-shift gradients
-(the energy is a sinusoid in any one angle, so two shifted evaluations
-per angle give the exact derivative) with a batched grid line
-minimization.  Energies are quadratic forms of the reconstructed
-matrix.  Word expectations, the quantities a device measures and the
-input of ``sampled_energy``, come from the package's one Pauli
-transform: <psi|S^q|psi> is 2^Q times coefficient q of
-decompose(|psi><psi|).
+(in the pi-shift form, so one batch of P + 1 circuits gives the energy
+and all P derivatives) with a batched grid line minimization.  Energies
+are quadratic forms of the reconstructed matrix.  Word expectations, the
+quantities a device measures and the input of ``sampled_energy``, come
+from the package's one Pauli transform: <psi|S^q|psi> is 2^Q times
+coefficient q of decompose(|psi><psi|).
 """
 from __future__ import annotations
 
@@ -213,15 +212,30 @@ _COARSE_STEPS = np.geomspace(1.0 / 32.0, 4.0, 12)
 _FALLBACK_STEPS = np.geomspace(1e-7, 1.0 / 64.0, 10)
 
 
+def _energy_and_gradient(spec: AnsatzSpec, H: np.ndarray, x: np.ndarray):
+    """Energy and exact gradient at x from one (P + 1)-row propagation.
+
+    Row 0 is psi(x) and row k is psi(x + pi e_k).  Angle k enters as
+    exp(-i x_k G / 2) with G a Pauli word and exp(-i pi G / 2) = -iG, so
+    psi(x + pi e_k) = 2 d psi / d x_k and dE/dx_k = Re <psi(x + pi e_k)|H|psi(x)>.
+    """
+    P = spec.n_params
+    psi = _propagate(spec, x + np.pi * np.eye(P + 1, P, k=-1))  # rows 1..P shift one angle each
+    hpsi = psi[0].conj() @ H
+    return float((hpsi * psi[0]).sum().real), (psi[1:] @ hpsi).real
+
+
 def _line_min(fbatch, x, d, fx):
-    """Batched grid line minimization along d; returns (step, energy) or None.
+    """Batched grid line minimization along d.
 
     One coarse pass of 12 log-spaced steps around the quasi-Newton step
     length 1 (with a finer fallback pass down to 1e-7 when none of them
-    descends), one linear refinement around the coarse winner, and a
-    parabolic polish through the refined triple.  All candidates of a
-    pass are evaluated in a single batched propagation, so the whole
-    search costs about two gradient-free energy evaluations.
+    descends) and one linear refinement around the coarse winner, each
+    one batched propagation.  Returns None when nothing lies below fx,
+    else (step, energy, polished): the best grid step, its energy, and
+    the vertex of the parabola through the refined triple, or None when
+    there is no convex triple.  The caller evaluates the polished step,
+    with its gradient batch.
     """
     steps = _COARSE_STEPS
     vals = fbatch(x[None, :] + steps[:, None] * d[None, :])
@@ -241,31 +255,30 @@ def _line_min(fbatch, x, d, fx):
         best_step, best_val = fine[j], fvals[j]
     else:
         best_step, best_val = steps[i], vals[i]
+    polished = None
     if 0 < j < fine.size - 1:
         left, mid, right = fvals[j - 1], fvals[j], fvals[j + 1]
         curvature = left - 2.0 * mid + right
         if curvature > 0.0:
-            polished = fine[j] + 0.5 * (left - right) / curvature * (fine[1] - fine[0])
-            val = fbatch((x + polished * d)[None, :])[0]
-            if val < best_val:
-                best_step, best_val = polished, val
-    return float(best_step), float(best_val)
+            polished = float(fine[j] + 0.5 * (left - right) / curvature * (fine[1] - fine[0]))
+    return float(best_step), float(best_val), polished
 
 
 def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initial=None) -> MinimizeResult:
     """Minimize the Pauli-sum energy over the ansatz parameters by BFGS.
 
-    The gradient is the exact parameter-shift rule: every gate angle
-    enters the state through a half-angle rotation, so the energy is
-    a + b*cos(t) + c*sin(t) in any one angle t and
-    dE/dt_k = (E(t + pi/2 e_k) - E(t - pi/2 e_k)) / 2, all 2P shifted
-    energies coming from one batched propagation.  Steps are taken with
-    the batched grid line search; the inverse-Hessian estimate is reset
-    to the identity when its direction does not descend or the search
-    along it finds nothing, and the run returns once a search along the
-    steepest-descent direction finds nothing either.  The trace records
-    (iteration, energy, gradient_norm, params_hash) rows ready for
-    JSON-lines serialization.
+    The gradient is the exact parameter-shift rule in its pi-shift form,
+    dE/dt_k = Re <psi(t + pi e_k)|H|psi(t)>: the energy and all P
+    derivatives at a point come from one (P + 1)-row propagation
+    (``_energy_and_gradient``).  Steps are taken with the batched grid
+    line search, whose parabolic polish that batch settles: it runs at
+    the polished step and is kept when its energy beats the grid
+    winner's, else it runs again at the winner.  The inverse-Hessian
+    estimate is reset to the identity when its direction does not
+    descend or the search along it finds nothing, and the run returns
+    once a search along the steepest-descent direction finds nothing
+    either.  The trace records (iteration, energy, gradient_norm,
+    params_hash) rows ready for JSON-lines serialization.
 
     Raises StalledOptimization -- carrying the best parameters, energy
     and trace -- when max_iter iterations pass without that happening,
@@ -283,18 +296,12 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
             raise ParamLengthMismatch(f"initial {x.shape} vs ({spec.n_params},)")
     H = reconstruct(c)
     P = spec.n_params
-    shifts = np.concatenate([np.eye(P), -np.eye(P)]) * (np.pi / 2.0)
 
     def fbatch(batch):
         psi = _propagate(spec, batch)
         return ((psi.conj() @ H) * psi).sum(axis=1).real
 
-    def grad(p):
-        vals = fbatch(p[None, :] + shifts)
-        return 0.5 * (vals[:P] - vals[P:])
-
-    fx = float(fbatch(x[None, :])[0])
-    g = grad(x)
+    fx, g = _energy_and_gradient(spec, H, x)
     hinv = np.eye(P)
     trace: list = []
     for it in range(cfg.max_iter):
@@ -310,10 +317,17 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
                 return MinimizeResult(x, fx, trace)
             hinv = np.eye(P)
             continue
-        step, fx = found
+        step, val, polished = found
+        fnew = np.inf
+        if polished is not None:
+            fnew, gnew = _energy_and_gradient(spec, H, x + polished * d)
+        if fnew < val:
+            step = polished
+        else:  # no polish, or it does not beat the grid winner
+            fnew, gnew = _energy_and_gradient(spec, H, x + step * d)
         s = step * d
         x = x + s
-        gnew = grad(x)
+        fx = fnew
         y = gnew - g
         g = gnew
         sy = s @ y
@@ -364,7 +378,10 @@ def warm_started_chain(coeff_list, layers: int, cfg: OptimizerConfig, restarts: 
     perturbations of the best parameters so far, wider with every retry,
     keeping the best result seen.  Returns a list of MinimizeResult, with
     ``converged`` False where the kept result is a stalled attempt.
+    Raises ValueError for ``restarts`` < 0, which would run no attempt.
     """
+    if restarts < 0:
+        raise ValueError(f"restarts must be non-negative, got {restarts}")
     results = []
     prev = None
     for c in coeff_list:

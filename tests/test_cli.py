@@ -126,6 +126,14 @@ class TestConfigHandling:
             ["hydrogen-convergence", "--set", "n_step=0"],
             ["hydrogen-convergence", "--set", "n_start=100", "--set", "n_stop=50"],
             ["pauli-export", "--set", "qubits=0"],
+            ["vqe", "--set", "restarts=-1"],
+            ["vqe", "--set", "max_iter=0"],
+            ["zeta", "--check", "--set", "ff_z_points=0"],
+            ["zeta", "--set", "ff_n_max=0"],
+            ["zeta", "--set", "ff_t_list=[]"],
+            ["zeta", "--set", "ff_t_list=[1000.0]"],
+            ["hydrogen-convergence", "--set", "n_ref=0"],
+            ["hydrogen-convergence", "--set", "mode=qubits", "--set", "q_max=2", "--set", "q_ref=0"],
         ],
     )
     def test_out_of_range_size_exits_2(self, tmp_path, capsys, argv):

@@ -8,8 +8,10 @@ operator's coefficients; what ``sampled_energy`` measures) and from
 ``energy`` are cross-checked against the dense quadratic form of the
 matrix itself, and ``energy`` against an extended-precision one.
 Single-word cases pin individual expectations to their known values.
-Optimizer tests pin the small-qubit hydrogen values that the nested
-chain must hit.
+The (P + 1)-row gradient is checked against the +-pi/2 shift rule and
+central differences, and the optimizer's propagation count against its
+three-per-iteration budget.  Optimizer tests pin the small-qubit
+hydrogen values that the nested chain must hit.
 """
 import math
 
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from zetavac import vqe
 from zetavac.errors import (
     DimensionMismatch,
     ParamLengthMismatch,
@@ -37,7 +40,7 @@ from zetavac.vqe import (
     warm_start_embed,
     warm_started_chain,
 )
-from zetavac.vqe import _params_hash, _propagate, _word_expectations
+from zetavac.vqe import _FALLBACK_STEPS, _energy_and_gradient, _params_hash, _propagate, _word_expectations
 
 GROUND_Q1 = 0.392108816647
 GROUND_Q2 = 0.229395425745
@@ -179,29 +182,30 @@ class TestEnergy:
 
 class TestGradientScale:
     def test_parameter_shift_matches_central_difference(self):
-        # the exact parameter-shift gradient minimize uses, (E(+pi/2) -
-        # E(-pi/2)) / 2 per angle, must agree with a central-difference
-        # oracle at h = 1e-5 to 1e-4 relative
-        spec = AnsatzSpec(2, 2)
-        H = hydrogen_matrix(4)
+        # the (P + 1)-row energy and gradient minimize takes must agree with
+        # the +-pi/2 parameter-shift rule to rounding and with a
+        # central-difference oracle at h = 1e-5 to 1e-4 relative
         rng = np.random.default_rng(4)
+        for Q in range(1, 6):
+            spec = AnsatzSpec(Q, 8)
+            P = spec.n_params
+            H = hydrogen_matrix(1 << Q)
+            unit = np.concatenate([np.eye(P), -np.eye(P)])
 
-        def differences(p, h):
-            out = np.zeros(p.size)
-            for k in range(p.size):
-                pp, pm = p.copy(), p.copy()
-                pp[k] += h
-                pm[k] -= h
-                ep = np.vdot(apply_ansatz(spec, pp), H @ apply_ansatz(spec, pp)).real
-                em = np.vdot(apply_ansatz(spec, pm), H @ apply_ansatz(spec, pm)).real
-                out[k] = ep - em
-            return out
+            def differences(p, h):
+                psi = _propagate(spec, p + h * unit)
+                vals = np.einsum("bi,ij,bj->b", psi.conj(), H, psi).real
+                return vals[:P] - vals[P:]
 
-        for _ in range(20):
-            p = rng.uniform(-math.pi, math.pi, spec.n_params)
-            shift = differences(p, math.pi / 2.0) / 2.0
-            oracle = differences(p, 1e-5) / 2e-5
-            assert np.linalg.norm(shift - oracle) <= 1e-4 * max(np.linalg.norm(oracle), 1e-3)
+            for _ in range(4):
+                p = rng.uniform(-math.pi, math.pi, P)
+                e, g = _energy_and_gradient(spec, H, p)
+                psi = apply_ansatz(spec, p)
+                assert e == pytest.approx(np.vdot(psi, H @ psi).real, rel=1e-13)
+                shift = differences(p, math.pi / 2.0) / 2.0
+                oracle = differences(p, 1e-5) / 2e-5
+                assert np.linalg.norm(g - shift) <= 1e-13 * np.linalg.norm(shift)
+                assert np.linalg.norm(g - oracle) <= 1e-4 * max(np.linalg.norm(oracle), 1e-3)
 
 
 class TestSampledEnergy:
@@ -311,6 +315,33 @@ class TestMinimize:
         with pytest.raises(SpecMismatch):
             minimize(AnsatzSpec(2, 1), c, OptimizerConfig())
 
+    def test_iteration_takes_three_propagations(self, monkeypatch):
+        # the gradient batch is P + 1 rows and also settles the line
+        # search's polish, so an iteration is a coarse grid, a fine grid and
+        # one gradient batch, plus one more batch for a rejected polish or a
+        # fallback grid; the start point takes one batch
+        spec = AnsatzSpec(3, 8)
+        P = spec.n_params
+        batches = []
+        propagate = vqe._propagate
+
+        def counting(spec_, params):
+            batches.append(np.array(params))
+            return propagate(spec_, params)
+
+        monkeypatch.setattr(vqe, "_propagate", counting)
+        res = minimize(spec, decompose(hydrogen_matrix(8)), OptimizerConfig(seed=0))
+        rows = [b.shape[0] for b in batches]
+        assert max(rows) <= P + 1
+        rejected = sum(a == b == P + 1 for a, b in zip(rows, rows[1:]))
+        # the fallback grid is log-spaced, the refinement grid linear
+        fallback = sum(
+            b.shape[0] == _FALLBACK_STEPS.size
+            and np.linalg.norm(b[2] - b[1]) > 2.0 * np.linalg.norm(b[1] - b[0])
+            for b in batches
+        )
+        assert len(batches) <= 3 * len(res.trace) + 2 * (rejected + fallback) + 1
+
 
 class TestWarmStartedChain:
     def test_restarts_when_every_attempt_stalls(self):
@@ -333,6 +364,10 @@ class TestWarmStartedChain:
             assert a.energy == b.energy
             assert np.array_equal(a.params, b.params)
             assert a.trace == b.trace
+
+    def test_negative_restarts_rejected(self):
+        with pytest.raises(ValueError):
+            warm_started_chain([decompose(hydrogen_matrix(2))], layers=1, cfg=OptimizerConfig(), restarts=-1)
 
 
 class TestWarmStartEmbed:
