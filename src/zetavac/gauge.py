@@ -79,27 +79,32 @@ def _spectral_sums(lam: np.ndarray, zs, W: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _ground_coefficients(system: EigenSystem, zs):
-    """psi and c = V^dagger psi, which is e_0 up to rounding.
-
-    Raises SingularFunctionValue at the first z where lambda^z lifts that
-    rounding: past sum_{j>0} |c_j| (lambda_j / lambda_0)^Re z / |c_0| = 1e-9
-    the spectral sums return amplified rounding, not the ratio.
-    """
+def _ground_coefficients(system: EigenSystem):
+    """psi and c = V^dagger psi, which is e_0 up to rounding."""
     psi = _ground_state(system)
     c = (psi.conj() @ system.vectors).conj()  # V^dagger psi without copying V
-    lam, zs = system.eigenvalues, np.asarray(zs, dtype=complex)
-    # exponents in log space, clipped at 0: a clipped term alone puts the sum
-    # past 1 + 1e-9, and exact zeros in c (log 0 = -inf) add nothing
+    return psi, c
+
+
+def _check_amplification(lam: np.ndarray, zs, w: np.ndarray) -> None:
+    """Raise SingularFunctionValue at the first z where lambda^z lifts rounding.
+
+    w_j, j > 0, is the size of the rounding in term j of a spectral sum
+    relative to its exact leading term.  Past sum_{j>0} w_j
+    (lambda_j / lambda_0)^Re z = 1e-9 the sum returns amplified rounding,
+    not its value.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    # exponents in log space, clipped at 0: a clipped term alone puts the
+    # sum past 1e-9, and exact zeros in w (log 0 = -inf) add nothing
     with np.errstate(divide="ignore"):
-        log_c = np.log(np.abs(c / c[0]))
-    terms = np.exp(np.minimum(log_c + np.outer(zs.real, np.log(lam / lam[0])), 0.0))
-    bad = terms.sum(axis=1) - 1.0 > 1e-9
+        log_w = np.log(w[1:])
+    terms = np.exp(np.minimum(log_w + np.outer(zs.real, np.log(lam[1:] / lam[0])), 0.0))
+    bad = terms.sum(axis=1) > 1e-9
     if bad.any():
         raise SingularFunctionValue(
             f"lambda^z amplifies eigenvector rounding above 1e-9 at z = {zs[bad][0]}"
         )
-    return psi, c
 
 
 def gauge_ratio(H, A, z: complex, system: EigenSystem | None = None) -> ZetaRatioSample:
@@ -108,7 +113,12 @@ def gauge_ratio(H, A, z: complex, system: EigenSystem | None = None) -> ZetaRati
     ``system`` may carry a precomputed eigendecomposition of H so that
     scans over many z points factorize H only once.  With c = V^dagger psi
     and d = V^dagger A psi the ratio is sum_j conj(c_j) lambda_j^z d_j /
-    sum_j |c_j|^2 lambda_j^z; large Re z raises SingularFunctionValue.
+    sum_j |c_j|^2 lambda_j^z.  Computed c is e_0 plus rounding, so term
+    j > 0 of the numerator is rounding of size |c_j| |d_j|, against the
+    scale |c_0| ||d|| (>= |c_0 d_0|, and nonzero when the expectation is),
+    and of the denominator rounding of size |c_j|^2 against |c_0|^2.  The
+    ratio's relative rounding is at most the sum of the two, and
+    SingularFunctionValue is raised when lambda^z lifts it above 1e-9.
     """
     A = np.asarray(A, dtype=complex)
     if system is None:
@@ -116,8 +126,11 @@ def gauge_ratio(H, A, z: complex, system: EigenSystem | None = None) -> ZetaRati
     if A.shape != (system.dim, system.dim):
         raise DimensionMismatch(f"operator {A.shape} vs Hamiltonian dim {system.dim}")
     z = complex(z)
-    psi, c = _ground_coefficients(system, [z])
+    psi, c = _ground_coefficients(system)
     d = ((A @ psi).conj() @ system.vectors).conj()
+    c_rel, d_norm = np.abs(c / c[0]), np.linalg.norm(d)
+    d_rel = np.abs(d) / d_norm if d_norm else 0.0  # d = 0 makes the numerator exactly 0
+    _check_amplification(system.eigenvalues, [z], c_rel * (c_rel + d_rel))
     weights = np.stack([c.conj() * d, np.abs(c) ** 2], axis=1)
     num, den = map(complex, _spectral_sums(system.eigenvalues, [z], weights)[0])
     if abs(den) < 1e-12:
@@ -212,10 +225,12 @@ def denominator_zero_scan(H, grid: ZGrid, system: EigenSystem | None = None) -> 
     which is the same quantity gauge_ratio divides by.  Returns the
     subset of grid points with |denominator| < 1e-10; raises
     SingularFunctionValue, naming the first such z, when a denominator
-    is not finite or is amplified rounding (large Re z).
+    is not finite or is amplified rounding (large Re z; the denominator
+    part of gauge_ratio's guard).
     """
     if system is None:
         system = eig_hermitian(H)
-    _, c = _ground_coefficients(system, grid.points)
+    _, c = _ground_coefficients(system)
+    _check_amplification(system.eigenvalues, grid.points, np.abs(c / c[0]) ** 2)
     den = _spectral_sums(system.eigenvalues, grid.points, np.abs(c)[:, None] ** 2)[:, 0]
     return grid.points[np.abs(den) < 1e-10]

@@ -63,12 +63,17 @@ def _gather_by_difference(table: np.ndarray, md: np.ndarray, diagonal) -> np.nda
 
     Both operators depend on the modes only through k - l, so one table
     over the differences -n..n replaces n x n integer and complex
-    temporaries; rows are gathered one at a time.
+    temporaries.  Even columns carry the modes 0, 1, 2, ... and odd ones
+    -1, -2, ..., so each row is two sliding windows over the table: its
+    even entries read it forwards and its odd entries backwards.
     """
     n = md.shape[0]
     M = np.empty((n, n), dtype=table.dtype)
-    for i in range(n):
-        np.take(table, md + (n - md[i]), out=M[i])
+    n_even, n_odd = (n + 1) // 2, n // 2
+    backwards = table[::-1]
+    for i, start in enumerate((n - md).tolist()):
+        M[i, 0::2] = table[start : start + n_even]
+        M[i, 1::2] = backwards[2 * n + 1 - start : 2 * n + 1 - start + n_odd]
     np.fill_diagonal(M, diagonal)
     return M
 

@@ -4,8 +4,17 @@ A word index q in [0, 4^Q) is read in base 4, little-endian: digit
 q_n selects the Pauli matrix acting on qubit n, and the full word is
 sigma^{q_{Q-1}} x ... x sigma^{q_0} (most significant qubit first in the
 Kronecker product, matching the |q_{Q-1} ... q_0> ket layout).  The
-transform never materializes the 2^Q x 2^Q words for the full sweep:
-each qubit is contracted against the stacked 2x2 Paulis in turn.
+transform never materializes the 2^Q x 2^Q words.  A matrix entry
+(j, k) is addressed by the base-4 digits 2 j_t + k_t, one per qubit t,
+so ``decompose`` interleaves the row and column bits once and then maps
+one digit per qubit with a 4 x 4 matrix: a single ``np.matmul`` per
+qubit reads the leading digit and writes its image as the trailing one,
+so after Q maps every digit has been mapped, in order, with no
+transposed copy in between.  ``reconstruct`` runs the same maps from
+word digits to entry digits and de-interleaves once at the end.  Each
+output of a map is a sum of exactly two nonzero terms, each a product
+with 1, -1, i or -i, so the result does not depend on how the matrix
+product orders its sums.  The cost is O(Q 4^Q).
 """
 from __future__ import annotations
 
@@ -33,6 +42,11 @@ SIGMA = np.array(
     ],
     dtype=complex,
 )
+
+# Digit maps: _TO_WORD[2j + k, d] = SIGMA[d, k, j] gives tr(M S^q) one
+# qubit at a time; _TO_ENTRY[d, 2j + k] = SIGMA[d, j, k] sums the words.
+_TO_WORD = SIGMA.transpose(2, 1, 0).reshape(4, 4)
+_TO_ENTRY = SIGMA.reshape(4, 4)
 
 
 def _qubit_count(dim: int) -> int:
@@ -87,35 +101,47 @@ class PauliCoefficients:
         object.__setattr__(self, "coeffs", c)
 
 
+def _map_digits(T: np.ndarray, G: np.ndarray, Q: int) -> np.ndarray:
+    """Apply ``G`` to each of the Q base-4 digits of the flat array ``T``.
+
+    Each step reads the leading digit and appends its image as the
+    trailing one, so the digits come out in their original order.  ``T``
+    is overwritten.
+    """
+    out = np.empty_like(T)
+    for _ in range(Q):
+        np.matmul(T.reshape(4, -1).T, G, out=out.reshape(-1, 4))
+        T, out = out, T
+    return T
+
+
 def decompose(M) -> PauliCoefficients:
     """Coefficients c_q = tr(M S^q) / 2^Q for a Hermitian M.
 
-    Contracting one qubit at a time keeps the cost at O(Q 4^Q) instead of
-    the O(16^Q) of materializing every word.  Hermitian input guarantees
-    real coefficients; residual imaginary parts beyond rounding raise.
+    One digit map per qubit (see the module docstring) keeps the cost at
+    O(Q 4^Q) instead of the O(16^Q) of materializing every word.
+    Hermitian input guarantees real coefficients; residual imaginary
+    parts beyond rounding raise.
     """
     M = require_hermitian(M)
     Q = _qubit_count(M.shape[0])
-    T = M.reshape((2,) * (2 * Q))
-    # tr(M S^q) = sum_{j,k} M_{jk} S^q_{kj}; qubit t of the row index j
-    # pairs with SIGMA axis 2 and qubit t of the column index k with
-    # SIGMA axis 1.  Contract most significant qubit first; each step
-    # appends that qubit's word-digit axis at the end.
-    for i in range(Q):
-        T = np.tensordot(T, SIGMA, axes=([0, Q - i], [2, 1]))
-    c = T.reshape(4**Q) / 2**Q
+    # (j_{Q-1} .. j_0, k_{Q-1} .. k_0) -> (j_{Q-1}, k_{Q-1}, .., j_0, k_0),
+    # copied, since the maps overwrite it
+    interleave = [axis for t in range(Q) for axis in (t, Q + t)]
+    T = M.reshape((2,) * (2 * Q)).transpose(interleave).copy().reshape(-1)
+    c = _map_digits(T, _TO_WORD, Q)
+    c /= 2**Q
     scale = max(np.abs(c).max(), 1.0)
-    if np.abs(c.imag).max() > 1e-12 * scale:
-        raise ValueError(f"coefficients have imaginary part {np.abs(c.imag).max():.3e}")
+    imag = np.abs(c.imag).max()
+    if imag > 1e-12 * scale:
+        raise ValueError(f"coefficients have imaginary part {imag:.3e}")
     return PauliCoefficients(Q, c.real)
 
 
 def reconstruct(c: PauliCoefficients) -> np.ndarray:
     """Operator sum_q coeffs[q] S^q, inverse of decompose."""
     Q = c.qubits
-    T = c.coeffs.astype(complex).reshape((4,) * Q)
-    for _ in range(Q):
-        T = np.tensordot(T, SIGMA, axes=([0], [0]))
-    # Axes come out interleaved (j_{Q-1}, k_{Q-1}, ..., j_0, k_0).
-    perm = list(range(0, 2 * Q, 2)) + list(range(1, 2 * Q, 2))
-    return T.transpose(perm).reshape(2**Q, 2**Q)
+    T = _map_digits(c.coeffs.astype(complex), _TO_ENTRY, Q)
+    # (j_{Q-1}, k_{Q-1}, .., j_0, k_0) -> (j_{Q-1} .. j_0, k_{Q-1} .. k_0)
+    split = list(range(0, 2 * Q, 2)) + list(range(1, 2 * Q, 2))
+    return T.reshape((2,) * (2 * Q)).transpose(split).reshape(2**Q, 2**Q)

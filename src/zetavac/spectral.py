@@ -22,6 +22,50 @@ __all__ = [
 ]
 
 
+# Side of the square tiles require_hermitian compares with their mirrors;
+# a tile pair and its scratch buffers stay in a core's cache.
+_TILE = 256
+
+
+def _hermitian_and_scale(M, tol: float = 1e-12):
+    """``require_hermitian``, also returning max|M| (0.0 for an empty matrix).
+
+    Each upper-triangle tile is compared with the conjugate of its mirror
+    tile, and both tiles give their largest magnitude while they are in
+    cache, so every entry is read once and no n x n temporary is formed.
+    """
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
+    n = M.shape[0]
+    b = max(min(n, _TILE), 1)
+    diff = np.empty(b * b, dtype=complex)
+    mag = np.empty(b * b)
+    scale = dev = 0.0
+    for i in range(0, n, b):
+        for j in range(i, n, b):
+            upper, lower = M[i : i + b, j : j + b], M[j : j + b, i : i + b]
+            h, w = upper.shape
+            upper_max = np.abs(upper, out=mag[: h * w].reshape(h, w)).max()
+            lower_max = np.abs(lower, out=mag[: h * w].reshape(w, h)).max() if j != i else upper_max
+            # max and np.maximum (unlike Python's max) propagate NaN, and
+            # |inf| is inf, so this finds both
+            tile_max = np.maximum(upper_max, lower_max)
+            if not np.isfinite(tile_max):
+                raise NonHermitianInput("matrix has non-finite entries")
+            scale = max(scale, tile_max)
+            # |M_ij - conj(M_ji)| = |M - M^H| entry by entry
+            d = np.conjugate(lower.T, out=diff[: h * w].reshape(h, w))
+            np.subtract(upper, d, out=d)
+            dev = max(dev, np.abs(d, out=mag[: h * w].reshape(h, w)).max())
+    if dev > tol * max(scale, 1e-300):
+        raise NonHermitianInput(
+            f"matrix deviates from Hermitian symmetry by {dev:.3e} "
+            f"(allowed {tol:.1e} * {scale:.3e})"
+        )
+    return M, float(scale)
+
+
 def require_hermitian(M, tol: float = 1e-12) -> np.ndarray:
     """Validate Hermitian symmetry and return ``M`` as a complex array.
 
@@ -31,23 +75,7 @@ def require_hermitian(M, tol: float = 1e-12) -> np.ndarray:
     since no symmetry test can hold on them; so is an entry whose
     magnitude overflows.
     """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
-    scale = np.abs(M).max() if M.size else 0.0
-    # max propagates NaN, and |inf| is inf, so one pass finds both
-    if not np.isfinite(scale):
-        raise NonHermitianInput("matrix has non-finite entries")
-    # |conj(M) - M^T| = |M - M^H|, formed in one buffer with row-order writes
-    C = M.conj()
-    np.subtract(C, M.T, out=C)
-    dev = np.abs(C).max()
-    if dev > tol * max(scale, 1e-300):
-        raise NonHermitianInput(
-            f"matrix deviates from Hermitian symmetry by {dev:.3e} "
-            f"(allowed {tol:.1e} * {scale:.3e})"
-        )
-    return M
+    return _hermitian_and_scale(M, tol)[0]
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:

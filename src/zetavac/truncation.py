@@ -36,7 +36,7 @@ from .errors import (
     HermiticityViolation,
     NonHermitianInput,
 )
-from .spectral import _fix_phases, require_hermitian
+from .spectral import _fix_phases, _hermitian_and_scale, require_hermitian
 
 __all__ = [
     "index_of_mode",
@@ -114,8 +114,8 @@ def project_operator(element, n: int) -> np.ndarray:
     ``l`` (row) and ``k`` (column), which it receives as Python ints.
     Conjugate symmetry is verified on all mode pairs drawn from the first
     8 ordered positions; the matrix itself is assembled from
-    one call per upper-triangle entry, written with its conjugate mirror
-    in two indexed assignments, so the result is Hermitian bit-exactly
+    one call per upper-triangle entry, row by row, each row written with
+    its conjugate mirror column, so the result is Hermitian bit-exactly
     (the diagonal holds ``conj(element(l, l))``) and the leading principal
     submatrices agree exactly across sizes.  A non-finite element raises
     NonHermitianInput, wherever it sits.
@@ -133,11 +133,11 @@ def project_operator(element, n: int) -> np.ndarray:
                     f"element({l},{k})={lk} vs conj(element({k},{l}))={kl.conjugate()}"
                 )
     md = mode_list(n).tolist()
-    rows, cols = np.triu_indices(n)
-    M = np.zeros((n, n), dtype=complex)
-    M[rows, cols] = [element(md[i], md[j]) for i, j in zip(rows.tolist(), cols.tolist())]
-    # the mirror also overwrites the diagonal with conj(element(l, l))
-    M[cols, rows] = M[rows, cols].conj()
+    M = np.empty((n, n), dtype=complex)
+    for a, l in enumerate(md):
+        M[a, a:] = [element(l, k) for k in md[a:]]
+        # the mirror also overwrites the diagonal with conj(element(l, l))
+        np.conjugate(M[a, a:], out=M[a:, a])
     if not np.isfinite(M).all():
         raise NonHermitianInput(f"element values at n={n} are not all finite")
     return M
@@ -169,10 +169,10 @@ def vacuum_state(H) -> DiscretizedVacuum:
     as ``eig_hermitian``.  Energy and residual come from a fresh product
     H psi, since theta comes from the recursively updated H x.
     """
-    M = require_hermitian(H)
+    M, scale = _hermitian_and_scale(H)
+    scale = max(scale, np.finfo(float).tiny)
     blas, lapack = scipy.linalg.blas, scipy.linalg.lapack
     n = M.shape[0]
-    scale = max(np.abs(M).max(), np.finfo(float).tiny)
     d = M.diagonal().real
     j = int(np.argmin(d))
     # columns: the iterate x, the previous direction p (from the second

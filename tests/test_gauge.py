@@ -128,20 +128,34 @@ class TestGaugeRatio:
         with pytest.raises(SingularFunctionValue, match=r"z = \(5\+0j\)"):
             gauge_ratio(hydrogen_matrix(64), position_matrix(64), 5.0)
 
-    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("n", [64, 512, 1024])
     def test_large_re_z_raises_or_matches_expectation(self, n):
+        # at n = 1024, Re z = 1 is within 7.7e-15 (H) and 5.9e-13 (x) of
+        # <psi, A psi>, so the guard must let it through
         H, X = hydrogen_matrix(n), position_matrix(n)
         system = eig_hermitian(H)
         psi = system.vectors[:, 0]
+        admitted_re_z = 1.0 if n >= 1024 else 0.5
         for A in (H, X):
             direct = np.vdot(psi, A @ psi)
             for z in (np.arange(0.0, 6.01, 0.5)[:, None] + [0.0, 0.5j]).ravel():
                 try:
                     ratio = gauge_ratio(H, A, z, system=system).ratio
                 except SingularFunctionValue:
-                    assert z.real > 0.5, f"raised at z = {z}"
+                    assert z.real > admitted_re_z, f"raised at z = {z}"
                     continue
                 assert abs(ratio - direct) <= 1e-9 * abs(direct), f"z = {z}"
+
+    def test_zero_expectation_observable_passes_guard(self):
+        # <psi, i[H, x] psi> = 0 for an eigenvector psi: the numerator's
+        # rounding is weighed against ||A psi||, not against its vanishing
+        # leading term, so small z does not raise
+        H, X = hydrogen_matrix(64), position_matrix(64)
+        A = 1j * (H @ X - X @ H)
+        system = eig_hermitian(H)
+        scale = np.linalg.norm(A @ system.vectors[:, 0])
+        for z in (0.0, 0.5, 1.0 + 0.5j):
+            assert abs(gauge_ratio(H, A, z, system=system).ratio) <= 1e-9 * scale
 
     def test_nonpositive_spectrum_raises(self):
         H = np.diag([-1.0, 2.0]).astype(complex)

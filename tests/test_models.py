@@ -94,10 +94,11 @@ class TestHydrogenElements:
         )
         assert_allclose(H, want, atol=1e-15)
 
-    @pytest.mark.parametrize("n", [1, 2, 33, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 33, 64, 513, 1024])
     def test_matrices_match_dense_difference_formula_bitwise(self, n):
-        # the builders gather from a table over k - l; the reference
-        # evaluates the same expressions on the full n x n difference grid
+        # the builders copy sliding windows of a table over k - l; the
+        # reference evaluates the same expressions on the full n x n
+        # difference grid (odd n ends on an even column, n = 1 has no odd one)
         params = HydrogenParams(m=0.7, q=2.3)
         md = np.arange(n)
         md = np.where(md % 2 == 0, md // 2, -(md + 1) // 2)

@@ -39,6 +39,23 @@ def random_hermitian(n, seed):
     return (B + B.conj().T) / 2.0
 
 
+def tensordot_decompose(M):
+    """Coefficients by one np.tensordot per qubit, with a transposed copy each."""
+    Q = M.shape[0].bit_length() - 1
+    T = M.reshape((2,) * (2 * Q))
+    for i in range(Q):
+        T = np.tensordot(T, np.array(LOCAL), axes=([0, Q - i], [2, 1]))
+    return (T.reshape(4**Q) / 2**Q).real
+
+
+def tensordot_reconstruct(coeffs, Q):
+    T = coeffs.astype(complex).reshape((4,) * Q)
+    for _ in range(Q):
+        T = np.tensordot(T, np.array(LOCAL), axes=([0], [0]))
+    perm = list(range(0, 2 * Q, 2)) + list(range(1, 2 * Q, 2))
+    return T.transpose(perm).reshape(2**Q, 2**Q)
+
+
 class TestPauliWord:
     def test_index_round_trip(self):
         for q in range(64):
@@ -96,6 +113,25 @@ class TestDecompose:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(NotPowerOfTwo):
             decompose(np.eye(3))
+
+
+@pytest.mark.parametrize("kind", ["random", "hydrogen"])
+@pytest.mark.parametrize("Q", [1, 2, 3, 4, 5, 6])
+def test_matches_tensordot_contraction_bitwise(Q, kind):
+    # every output is a sum of the same two nonzero terms as in the
+    # per-qubit tensordot, so the digit maps may not change a single bit
+    M = random_hermitian(2**Q, seed=300 + Q) if kind == "random" else hydrogen_matrix(2**Q)
+    c = decompose(M)
+    assert np.array_equal(c.coeffs, tensordot_decompose(M))
+    assert np.array_equal(reconstruct(c), tensordot_reconstruct(c.coeffs, Q))
+
+
+def test_decompose_leaves_its_input_alone():
+    for Q in (1, 3):
+        M = random_hermitian(2**Q, seed=Q)
+        before = M.copy()
+        decompose(M)
+        assert np.array_equal(M, before)
 
 
 class TestReconstruct:

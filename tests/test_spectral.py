@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from zetavac import truncation
+from zetavac import spectral, truncation
 from zetavac.errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
 from zetavac.spectral import (
     EigenSystem,
@@ -34,6 +34,53 @@ def test_require_hermitian_tolerates_rounding():
     M = random_hermitian(30, seed=5)
     M[3, 7] += 1e-14 * 1j  # below the relative tolerance
     require_hermitian(M)
+
+
+# At n = 2 * tile + 1 the last tile row and column are one entry wide.
+TILED_N = 2 * spectral._TILE + 1
+LAST = TILED_N - 1
+# Entries that sit only in an off-diagonal tile pair or in the last partial tile.
+TILE_POSITIONS = [(3, 300), (300, 3), (LAST, 7), (7, LAST), (LAST, 300), (LAST, LAST)]
+
+
+@pytest.mark.parametrize("i, j", TILE_POSITIONS)
+def test_require_hermitian_finds_one_asymmetric_entry_in_any_tile(i, j):
+    M = random_hermitian(TILED_N, seed=8)
+    M[i, j] += 1e-6j  # on the diagonal (i == j) this is an imaginary part
+    with pytest.raises(NonHermitianInput, match="deviates"):
+        require_hermitian(M)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("i, j", TILE_POSITIONS)
+def test_require_hermitian_finds_one_non_finite_entry_in_any_tile(i, j, bad):
+    M = random_hermitian(TILED_N, seed=9)
+    M[i, j] = bad
+    with pytest.raises(NonHermitianInput, match="non-finite"):
+        require_hermitian(M)
+
+
+@pytest.mark.parametrize("i, j", TILE_POSITIONS)
+def test_hermitian_scale_is_the_largest_magnitude(i, j):
+    M = random_hermitian(TILED_N, seed=10)
+    M[i, j] = M[j, i] = 7.0  # the largest entry, placed in the tile under test
+    checked, scale = spectral._hermitian_and_scale(M)
+    assert scale == np.abs(M).max() == 7.0
+    assert checked is M  # complex input is validated in place, not copied
+    checked, scale = spectral._hermitian_and_scale(M.real)
+    assert scale == np.abs(M.real).max()
+
+
+def test_require_hermitian_edge_shapes():
+    empty, scale = spectral._hermitian_and_scale(np.zeros((0, 0)))
+    assert empty.shape == (0, 0) and empty.dtype == complex and scale == 0.0
+    one, scale = spectral._hermitian_and_scale([[-2.5]])
+    assert one.tolist() == [[-2.5 + 0j]] and scale == 2.5
+    with pytest.raises(NonHermitianInput):
+        require_hermitian([[1j]])
+    for shape in ((2, 3), (TILED_N, TILED_N - 1), (4,), (2, 2, 2)):
+        with pytest.raises(DimensionMismatch):
+            require_hermitian(np.zeros(shape))
 
 
 def test_eig_analytic_two_by_two():

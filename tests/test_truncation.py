@@ -61,6 +61,31 @@ def test_project_operator_matches_entrywise_loop(n):
     assert np.array_equal(M, M.conj().T)
 
 
+@pytest.mark.parametrize("n", [1, 2, 9, 40])
+def test_project_operator_matches_triu_formulation(n):
+    # same matrix, bytewise, and the same element calls in the same order
+    # as one call per np.triu_indices entry, mirrored by fancy indexing
+    def recording(calls):
+        def element(l, k):
+            calls.append((l, k))
+            return hydrogen_element(l, k)
+
+        return element
+
+    calls = []
+    M = project_operator(recording(calls), n)
+    md = mode_list(n).tolist()
+    rows, cols = np.triu_indices(n)
+    want_calls = []
+    want = np.zeros((n, n), dtype=complex)
+    want[rows, cols] = [recording(want_calls)(md[i], md[j]) for i, j in zip(rows, cols)]
+    want[cols, rows] = want[rows, cols].conj()
+    assert M.tobytes() == want.tobytes()
+    m = min(n, 8)  # the sampled symmetry check calls each pair both ways first
+    assert len(calls) == m * (m + 1) + len(want_calls)
+    assert calls[m * (m + 1) :] == want_calls
+
+
 def test_project_operator_rejects_asymmetric_element():
     def bad(l, k):
         return complex(l - k) if l != k else 1.0  # antisymmetric without conjugation
