@@ -96,9 +96,12 @@ def fit_exponential(abscissa, errors) -> ExponentialFit:
     return ExponentialFit(amplitude=float(np.exp(intercept)), rate=float(-slope), r_squared=float(r2))
 
 
-def fit_exponential_window(
-    abscissa, errors, min_points: int = 5, max_log_residual: float = 0.15
-) -> WindowedFit:
+# fit_exponential_window's shortest window and its starting log-space tolerance
+_MIN_WINDOW = 5
+_MAX_LOG_RESIDUAL = 0.15
+
+
+def fit_exponential_window(abscissa, errors) -> WindowedFit:
     """Rate of the longest stretch of the series that is actually exponential.
 
     Convergence series measured against a finite reference typically show
@@ -106,29 +109,26 @@ def fit_exponential_window(
     near the end, where the distance to the reference value eats into the
     measured error; a straight log-linear fit over all points then reports
     a rate biased by both ends.  This fit scans every contiguous window of
-    at least ``min_points`` points, keeps those whose log-errors a
-    decaying line explains to within ``max_log_residual`` at every point,
-    and fits on the longest such window, preferring the right-most (the
-    asymptotic regime) and then the smallest residual on ties.  If no
-    window qualifies, the tolerance is doubled until one does, so a fit is
-    always returned.  Series shorter than ``min_points`` fall back to the
-    plain full-range fit.
+    at least 5 points, keeps those whose log-errors a decaying line
+    explains to within 0.15 at every point, and fits on the longest such
+    window, preferring the right-most (the asymptotic regime) and then the
+    smallest residual on ties.  If no window qualifies, the tolerance is
+    doubled until one does, so a fit is always returned.  Series shorter
+    than 5 points fall back to the plain full-range fit.
     """
     x = np.asarray(abscissa, dtype=float)
     e = np.asarray(errors, dtype=float)
     if x.shape != e.shape or x.ndim != 1:
         raise ValueError(f"abscissa {x.shape} and errors {e.shape} must be equal-length 1-d")
-    if min_points < 3:
-        raise ValueError(f"min_points must be at least 3, got {min_points}")
-    if x.size < min_points:
+    if x.size < _MIN_WINDOW:
         fit = fit_exponential(x, e)
         y = np.log(np.clip(e, 1e-300, None))
         resid = np.abs(y - (np.log(fit.amplitude) - fit.rate * x)).max()
         return WindowedFit(fit, 0, int(x.size), float(resid))
     y = np.log(np.clip(e, 1e-300, None))
     candidates = []
-    for i in range(x.size - min_points + 1):
-        for j in range(i + min_points, x.size + 1):
+    for i in range(x.size - _MIN_WINDOW + 1):
+        for j in range(i + _MIN_WINDOW, x.size + 1):
             if np.any(e[i:j] <= 0.0):
                 continue
             slope, intercept = np.polyfit(x[i:j], y[i:j], 1)
@@ -137,8 +137,8 @@ def fit_exponential_window(
             resid = float(np.abs(y[i:j] - (slope * x[i:j] + intercept)).max())
             candidates.append((j - i, j, -resid, i))
     if not candidates:
-        raise DegenerateFit("no decaying window of the requested length")
-    tol = max_log_residual
+        raise DegenerateFit(f"no decaying window of {_MIN_WINDOW} or more points")
+    tol = _MAX_LOG_RESIDUAL
     while True:
         windows = [c for c in candidates if -c[2] <= tol]
         if windows:

@@ -190,6 +190,8 @@ def _effective_config(command: str, args) -> dict:
         cfg[key] = parsed
     if args.seed is not None:
         cfg["seed"] = args.seed
+    if cfg["seed"] < 0:  # NumPy seeds only from non-negative integers
+        raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
     return cfg
 
 
@@ -297,6 +299,8 @@ def cmd_vqe(cfg, out_dir, check) -> int:
         raise ConfigError("need layers >= 1 and q_max in 1..12 (the 12-qubit statevector guard)")
     if cfg["max_iter"] < 1 or cfg["restarts"] < 0:
         raise ConfigError(f"need max_iter >= 1 and restarts >= 0, got {cfg['max_iter']} and {cfg['restarts']}")
+    if cfg["shots"] < 0 or cfg["shots"] == 1:
+        raise ConfigError(f"shots must be 0 (off) or at least 2 for a standard error, got {cfg['shots']}")
     params = HydrogenParams(m=cfg["m"], q=cfg["q"])
     opt = OptimizerConfig(seed=cfg["seed"], max_iter=cfg["max_iter"])
     coeff_list, exact = [], []

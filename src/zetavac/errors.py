@@ -60,16 +60,3 @@ class ZeroReference(ValueError):
 class DegenerateFit(ValueError):
     """Fit data carries no usable signal (too few or constant errors)."""
 
-
-class StalledOptimization(RuntimeError):
-    """An optimizer ran out of iterations before converging; best-so-far attached.
-
-    Not fatal: callers may restart from a perturbed point or accept
-    ``params``/``energy`` as the result.
-    """
-
-    def __init__(self, message, params=None, energy=None, trace=None):
-        super().__init__(message)
-        self.params = params
-        self.energy = energy
-        self.trace = trace

@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 
+# |<psi, H^z psi>| below this is a collapsed gauge denominator, for both
+# gauge_ratio (which raises) and denominator_zero_scan (which reports the z)
+_DENOMINATOR_FLOOR = 1e-10
+
+
 @dataclass(frozen=True)
 class ZetaRatioSample:
     """One evaluation of the regularized ratio at a point z."""
@@ -119,6 +124,8 @@ def gauge_ratio(H, A, z: complex, system: EigenSystem | None = None) -> ZetaRati
     and of the denominator rounding of size |c_j|^2 against |c_0|^2.  The
     ratio's relative rounding is at most the sum of the two, and
     SingularFunctionValue is raised when lambda^z lifts it above 1e-9.
+    DenominatorNearZero is raised for |denominator| < 1e-10, the floor
+    ``denominator_zero_scan`` reports.
     """
     A = np.asarray(A, dtype=complex)
     if system is None:
@@ -133,7 +140,7 @@ def gauge_ratio(H, A, z: complex, system: EigenSystem | None = None) -> ZetaRati
     _check_amplification(system.eigenvalues, [z], c_rel * (c_rel + d_rel))
     weights = np.stack([c.conj() * d, np.abs(c) ** 2], axis=1)
     num, den = map(complex, _spectral_sums(system.eigenvalues, [z], weights)[0])
-    if abs(den) < 1e-12:
+    if abs(den) < _DENOMINATOR_FLOOR:
         raise DenominatorNearZero(f"|denominator| = {abs(den):.3e} at z = {z}")
     return ZetaRatioSample(z=z, numerator=num, denominator=den, ratio=num / den)
 
@@ -223,7 +230,8 @@ def denominator_zero_scan(H, grid: ZGrid, system: EigenSystem | None = None) -> 
 
     Evaluated through the spectral sum sum_j |<v_j, psi>|^2 lambda_j^z,
     which is the same quantity gauge_ratio divides by.  Returns the
-    subset of grid points with |denominator| < 1e-10; raises
+    subset of grid points with |denominator| < 1e-10, the floor below
+    which gauge_ratio raises DenominatorNearZero; raises
     SingularFunctionValue, naming the first such z, when a denominator
     is not finite or is amplified rounding (large Re z; the denominator
     part of gauge_ratio's guard).
@@ -233,4 +241,4 @@ def denominator_zero_scan(H, grid: ZGrid, system: EigenSystem | None = None) -> 
     _, c = _ground_coefficients(system)
     _check_amplification(system.eigenvalues, grid.points, np.abs(c / c[0]) ** 2)
     den = _spectral_sums(system.eigenvalues, grid.points, np.abs(c)[:, None] ** 2)[:, 0]
-    return grid.points[np.abs(den) < 1e-10]
+    return grid.points[np.abs(den) < _DENOMINATOR_FLOOR]

@@ -36,7 +36,7 @@ from .errors import (
     HermiticityViolation,
     NonHermitianInput,
 )
-from .spectral import _fix_phases, _hermitian_and_scale, require_hermitian
+from .spectral import _fix_phases, _hermitian_and_scale
 
 __all__ = [
     "index_of_mode",
@@ -275,68 +275,34 @@ def strong_convergence_probe(A, x, n_list) -> np.ndarray:
 
 
 def schatten_convergence_probe(
-    A,
-    weight: SobolevWeight,
-    n_list,
-    rank_r: int | None = None,
-    n_ref: int | None = None,
+    element, weight: SobolevWeight, n_list, n_ref: int | None = None
 ) -> np.ndarray:
     """Trace-norm residuals of truncation on a Sobolev-weighted operator.
 
-    The operator is symmetrically scaled by ``(1 + k^2)^(-s/2)`` on both
-    sides, which for the identity element and s=1 reproduces the diagonal
-    ``1/(1 + k^2)``.  Residuals are nuclear norms of the difference between
-    the reference operator and its leading-block truncation on the
-    reference grid.  Both are Hermitian, so each nuclear norm is the sum of
-    the absolute eigenvalues of the difference.  A matrix ``A`` must pass
-    ``require_hermitian``; an element function is made Hermitian by
-    ``project_operator``.
-
-    ``rank_r``, an int in ``1..n_ref``, optionally replaces the reference
-    by its best rank-``r`` approximation first: the ``r`` eigenpairs of
-    largest ``|lambda|`` (Eckart-Young for Hermitian matrices).  A cut that
-    splits a tie ``|lambda_r| = |lambda_{r+1}|`` to within
-    ``1e-12 * max|lambda|`` raises ``ValueError``, since the reference is
-    then not unique; a tie at that zero level is no error.  A weighted
-    operator with an all-zero imaginary part is decomposed as a real
-    matrix, which gives the same eigenvalues at about half the cost.
+    ``element`` is a matrix-element function, made Hermitian on the
+    reference grid (``n_ref``, by default twice the largest probed size)
+    by ``project_operator``.  The operator is symmetrically scaled by
+    ``(1 + k^2)^(-s/2)`` on both sides, which for the identity element and
+    s=1 reproduces the diagonal ``1/(1 + k^2)``.  Residuals are nuclear
+    norms of the difference between the reference operator and its
+    leading-block truncation on the reference grid.  Both are Hermitian,
+    so each nuclear norm is the sum of the absolute eigenvalues of the
+    difference.  A weighted operator with an all-zero imaginary part is
+    decomposed as a real matrix, which gives the same eigenvalues at about
+    half the cost.
     """
     n_list = list(n_list)
     if n_ref is None:
-        n_ref = 2 * max(n_list) if callable(A) else np.shape(A)[0]
+        n_ref = 2 * max(n_list)
     if n_ref < 2 * max(n_list):
         raise GridTooSmall(
             f"reference grid {n_ref} is smaller than twice max(n_list)={max(n_list)}"
         )
-    if rank_r is not None and (
-        isinstance(rank_r, bool)
-        or not isinstance(rank_r, (int, np.integer))
-        or not 1 <= rank_r <= n_ref
-    ):
-        raise ValueError(f"rank_r must be None or an int in 1..{n_ref}, got {rank_r!r}")
-    if callable(A):
-        A_ref = project_operator(A, n_ref)
-    else:
-        A_ref = require_hermitian(A)
-        if A_ref.shape[0] != n_ref:
-            raise DimensionMismatch(f"reference operator {A_ref.shape} vs grid {n_ref}")
     half = weight.values(mode_list(n_ref)) ** -0.5
-    A_w = half[:, None] * A_ref * half[None, :]
+    A_w = half[:, None] * project_operator(element, n_ref) * half[None, :]
     if not A_w.imag.any():
         # same eigenvalues; LAPACK runs the real dsyevd, not zheevd
         A_w = A_w.real
-    if rank_r is not None:
-        lam, V = np.linalg.eigh(A_w)
-        order = np.argsort(-np.abs(lam))
-        mag = np.abs(lam[order])
-        tol = 1e-12 * mag[0]
-        if rank_r < n_ref and mag[rank_r] > tol and mag[rank_r - 1] - mag[rank_r] <= tol:
-            raise ValueError(
-                f"rank_r={rank_r} splits the tie |lambda| = {mag[rank_r - 1]:.6e}, "
-                f"{mag[rank_r]:.6e}; the rank-{rank_r} reference is not unique"
-            )
-        keep = order[:rank_r]
-        A_w = (V[:, keep] * lam[keep]) @ V[:, keep].conj().T
     out = np.empty(len(n_list))
     for i, n in enumerate(n_list):
         diff = A_w.copy()

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParamLengthMismatch, SpecMismatch, StalledOptimization
+from .errors import DimensionMismatch, ParamLengthMismatch, SpecMismatch
 from .pauli import PauliCoefficients, decompose, reconstruct
 
 __all__ = [
@@ -53,10 +53,6 @@ class AnsatzSpec:
     def n_params(self) -> int:
         return 2 * self.qubits * (self.layers + 1)
 
-    @property
-    def gate_count(self) -> int:
-        return self.n_params + (self.qubits - 1) * self.layers
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -74,7 +70,7 @@ class MinimizeResult(NamedTuple):
     params: np.ndarray
     energy: float
     trace: list
-    converged: bool = True  # False: cut off by max_iter (a kept stalled attempt)
+    converged: bool = True  # False: cut off by max_iter
 
 
 def _cz_signs(qubits: int) -> np.ndarray:
@@ -183,10 +179,11 @@ def sampled_energy(state, c: PauliCoefficients, shots: int, seed: int = 0):
     Each non-identity word is measured ``shots`` times as a +/-1
     variable with the exact expectation; the identity coefficient enters
     exactly.  Returns (estimate, standard_error) with the standard error
-    combined across terms in quadrature.
+    combined across terms in quadrature.  The sample variance behind it
+    needs at least two shots, so fewer raise ValueError.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
+    if shots < 2:
+        raise ValueError(f"shots must be at least 2 for a standard error, got {shots}")
     rng = np.random.default_rng(seed)
     exps = np.clip(_word_expectations(state, c), -1.0, 1.0)
     estimate = c.coeffs[0]
@@ -197,8 +194,7 @@ def sampled_energy(state, c: PauliCoefficients, shots: int, seed: int = 0):
         ones = rng.binomial(shots, (1.0 + exps[q]) / 2.0)
         mean = (2.0 * ones - shots) / shots
         estimate += c.coeffs[q] * mean
-        if shots > 1:
-            var += c.coeffs[q] ** 2 * (1.0 - mean**2) / (shots - 1)
+        var += c.coeffs[q] ** 2 * (1.0 - mean**2) / (shots - 1)
     return float(estimate), float(np.sqrt(var))
 
 
@@ -280,10 +276,10 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
     either.  The trace records (iteration, energy, gradient_norm,
     params_hash) rows ready for JSON-lines serialization.
 
-    Raises StalledOptimization -- carrying the best parameters, energy
-    and trace -- when max_iter iterations pass without that happening,
-    i.e. the run was cut off rather than finished.  Its trace ends with a
-    row for the point it stopped at, iteration ``max_iter``.
+    When max_iter iterations pass without that happening, the run was cut
+    off rather than finished: the result then has ``converged`` False and
+    its trace ends with a row for the point it stopped at, iteration
+    ``max_iter``.
     """
     if spec.qubits != c.qubits:
         raise SpecMismatch(f"ansatz on {spec.qubits} qubits, coefficients on {c.qubits}")
@@ -334,16 +330,10 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
         if sy > 0.0:  # BFGS update, skipped where the curvature condition fails
             hy = hinv @ y
             hinv += ((sy + y @ hy) * np.outer(s, s) / sy - np.outer(s, hy) - np.outer(hy, s)) / sy
-    # the point it stopped at, so the last row matches the carried energy
-    gnorm = float(np.linalg.norm(g))
-    trace.append({"iteration": cfg.max_iter, "energy": fx, "gradient_norm": gnorm, "params_hash": _params_hash(x)})
-    raise StalledOptimization(
-        f"no convergence within max_iter={cfg.max_iter} iterations "
-        f"(gradient norm {gnorm:.3e})",
-        params=x,
-        energy=fx,
-        trace=trace,
-    )
+    # the point it stopped at, so the last row matches the returned energy
+    trace.append({"iteration": cfg.max_iter, "energy": fx, "gradient_norm": float(np.linalg.norm(g)),
+                  "params_hash": _params_hash(x)})
+    return MinimizeResult(x, fx, trace, converged=False)
 
 
 def warm_start_embed(params, spec_from: AnsatzSpec, spec_to: AnsatzSpec) -> np.ndarray:
@@ -393,17 +383,12 @@ def warm_started_chain(coeff_list, layers: int, cfg: OptimizerConfig, restarts: 
             x0 = None
         best = None
         for attempt in range(restarts + 1):
-            try:
-                res = minimize(spec, c, cfg, initial=x0)
-            except StalledOptimization as stall:
-                res = MinimizeResult(stall.params, stall.energy, stall.trace, converged=False)
-                if best is None or res.energy < best.energy:
-                    best = res
-                x0 = best.params + rng.normal(0.0, 0.1 * (attempt + 1), size=spec.n_params)
-                continue
+            res = minimize(spec, c, cfg, initial=x0)
             if best is None or res.energy < best.energy:
                 best = res
-            break
+            if res.converged:
+                break
+            x0 = best.params + rng.normal(0.0, 0.1 * (attempt + 1), size=spec.n_params)
         results.append(best)
         prev = best
     return results

@@ -143,7 +143,3 @@ class TestFitExponentialWindow:
         w = fit_exponential_window(n, e)
         assert isinstance(w, WindowedFit)
         assert w.stop - w.start >= 5
-
-    def test_min_points_validation(self):
-        with pytest.raises(ValueError):
-            fit_exponential_window(np.arange(6.0), np.exp(-np.arange(6.0)), min_points=2)

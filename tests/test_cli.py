@@ -128,6 +128,9 @@ class TestConfigHandling:
             ["pauli-export", "--set", "qubits=0"],
             ["vqe", "--set", "restarts=-1"],
             ["vqe", "--set", "max_iter=0"],
+            # one shot gives no standard error; a negative count samples nothing
+            ["vqe", "--check", "--set", "shots=1"],
+            ["vqe", "--set", "shots=-5"],
             ["zeta", "--check", "--set", "ff_z_points=0"],
             ["zeta", "--set", "ff_n_max=0"],
             ["zeta", "--set", "ff_t_list=[]"],
@@ -157,6 +160,14 @@ class TestConfigHandling:
         assert code == 0
         _, _, rows = read_headed_csv(tmp_path / "convergence.csv")
         assert [int(r[0]) for r in rows] == [8, 16, 24]
+
+    @pytest.mark.parametrize("command", ["hydrogen-convergence", "vqe", "zeta", "pauli-export", "lemma-probes"])
+    @pytest.mark.parametrize("seed", [["--seed", "-1"], ["--set", "seed=-1"]], ids=["flag", "set"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, seed):
+        code, _, err = run_cli([command, "--out", str(tmp_path)] + seed, capsys)
+        assert code == 2, err
+        assert "seed must be non-negative" in err
+        assert not list(tmp_path.iterdir())
 
     def test_seed_flag_changes_config_hash(self, tmp_path, capsys):
         args = ["hydrogen-convergence", "--set", "n_stop=16", "--set", "n_start=8",

@@ -117,7 +117,7 @@ class TestGaugeRatio:
         assert np.mean(vals) == pytest.approx(center, abs=1e-6)
 
     def test_near_zero_denominator_raises(self):
-        # lambda_0 = e, z = -30 puts the denominator at e^-30 < 1e-12
+        # lambda_0 = e, z = -30 puts the denominator at e^-30, below the 1e-10 floor
         H = np.diag([math.e, 7.0]).astype(complex)
         with pytest.raises(DenominatorNearZero):
             gauge_ratio(H, np.eye(2), -30.0)
@@ -309,6 +309,16 @@ class TestDenominatorZeroScan:
         # (lambda_1 / lambda_0)^100 = 2000^100 overflows
         H = np.diag([1e-3, 2.0]).astype(complex)
         assert denominator_zero_scan(H, ZGrid(points=[100.0])).tolist() == [100.0]
+
+    def test_agrees_with_gauge_ratio_at_the_floor(self):
+        # |den| = (5e-11)^Re z: 5.3e-10 at z = 0.9, 5e-11 at z = 1; on this
+        # grid the scan reports exactly the point where gauge_ratio refuses to divide
+        H = np.diag([5e-11, 1.0, 2.0])
+        grid = ZGrid(points=[0.9, 1.0])
+        assert denominator_zero_scan(H, grid).tolist() == [1.0]
+        assert gauge_ratio(H, np.eye(3), 0.9).ratio == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(DenominatorNearZero):
+            gauge_ratio(H, np.eye(3), 1.0)
 
     def test_hydrogen_grid_is_clean(self):
         re = np.linspace(-3.0, 1.0, 41)

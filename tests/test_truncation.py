@@ -4,7 +4,7 @@ import scipy.linalg
 from scipy.special import digamma, polygamma
 
 from zetavac.errors import DimensionMismatch, GridTooSmall, HermiticityViolation, NonHermitianInput
-from zetavac.models import hydrogen_element, hydrogen_matrix, position_matrix
+from zetavac.models import hydrogen_element, hydrogen_matrix
 from zetavac.truncation import (
     SobolevWeight,
     index_of_mode,
@@ -216,14 +216,19 @@ def test_schatten_probe_sobolev_identity_digamma_oracle():
     assert np.abs(got - oracle).max() < 1e-10
 
 
+def _element_of(M):
+    """Matrix-element function of M, whose rows and columns are in ordered-basis positions."""
+    return lambda l, k: M[index_of_mode(l), index_of_mode(k)]
+
+
 def test_schatten_probe_rank_one_closed_form():
-    # For A = u u* truncated at rank 1, the nuclear norm of the block
-    # difference reduces to sqrt(b^2 + 4ab) with a = |u_head|^2, b = |u_tail|^2.
+    # For the rank-one A = u u*, the nuclear norm of the block difference
+    # reduces to sqrt(b^2 + 4ab) with a = |u_head|^2, b = |u_tail|^2.
     n_ref = 40
     u = 1.0 / (1.0 + np.arange(n_ref, dtype=float))
-    A = np.outer(u, u).astype(complex)
+    A = np.outer(u, u)
     n_list = [4, 8, 16]
-    got = schatten_convergence_probe(A, SobolevWeight(0.0), n_list, rank_r=1, n_ref=n_ref)
+    got = schatten_convergence_probe(_element_of(A), SobolevWeight(0.0), n_list, n_ref=n_ref)
     oracle = []
     for n in n_list:
         a = float(np.sum(u[:n] ** 2))
@@ -232,17 +237,10 @@ def test_schatten_probe_rank_one_closed_form():
     assert np.allclose(got, oracle, atol=1e-10)
 
 
-def _scipy_schatten(M, weight, n_list, rank_r=None):
-    """Schatten probe residuals with SciPy's singular values (the oracle).
-
-    ``rank_r`` replaces the weighted operator by its truncated SVD first,
-    the Eckart-Young best rank-``r`` approximation.
-    """
+def _scipy_schatten(M, weight, n_list):
+    """Schatten probe residuals of the matrix M with SciPy's singular values (the oracle)."""
     half = weight.values(mode_list(M.shape[0])) ** -0.5
     M_w = half[:, None] * M * half[None, :]
-    if rank_r is not None:
-        u, s, vh = scipy.linalg.svd(M_w)
-        M_w = (u[:, :rank_r] * s[:rank_r]) @ vh[:rank_r]
     out = []
     for n in n_list:
         diff = M_w.copy()
@@ -254,7 +252,7 @@ def _scipy_schatten(M, weight, n_list, rank_r=None):
 def test_schatten_probe_complex_path_matches_real():
     # D A D^dagger with a diagonal unitary D has the same truncation
     # residuals as A, since truncation commutes with D; the complex
-    # operator takes the complex SVD path, A the real one
+    # operator takes the complex eigenvalue path, A the real one
     rng = np.random.default_rng(7)
     n_ref, n_list = 48, [4, 8, 16, 24]
     u = 1.0 / (1.0 + np.arange(n_ref, dtype=float))
@@ -262,25 +260,23 @@ def test_schatten_probe_complex_path_matches_real():
     d = np.exp(2j * np.pi * rng.random(n_ref))
     B = d[:, None] * A * d.conj()[None, :]
     assert np.abs(B.imag).max() > 0.1
-    for rank_r in (None, 2):
-        want = schatten_convergence_probe(A, SobolevWeight(1.0), n_list, rank_r=rank_r)
-        got = schatten_convergence_probe(B, SobolevWeight(1.0), n_list, rank_r=rank_r)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    # NumPy's singular values on both paths against SciPy's
-    for M in (A, B):
-        got = schatten_convergence_probe(M, SobolevWeight(1.0), n_list)
+    want = schatten_convergence_probe(_element_of(A), SobolevWeight(1.0), n_list, n_ref=n_ref)
+    got = schatten_convergence_probe(_element_of(B), SobolevWeight(1.0), n_list, n_ref=n_ref)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # NumPy's eigenvalues on both paths against SciPy's singular values
+    for M, got in ((A, want), (B, got)):
         oracle = _scipy_schatten(M, SobolevWeight(1.0), n_list)
         assert np.all(np.abs(got - oracle) <= 1e-12 * np.abs(oracle))
 
 
 def test_schatten_probe_grid_guard():
     with pytest.raises(GridTooSmall):
-        schatten_convergence_probe(np.eye(16), SobolevWeight(0.0), [4, 9], n_ref=16)
+        schatten_convergence_probe(lambda l, k: float(l == k), SobolevWeight(0.0), [4, 9], n_ref=16)
 
 
 def _indefinite(n, complex_vectors):
-    # eigenvalues with distinct magnitudes; the largest-|lambda| one is
-    # negative, so keeping the largest signed eigenvalue picks +3, not -5
+    # eigenvalues with distinct magnitudes and both signs, the largest in
+    # magnitude negative
     rng = np.random.default_rng(11)
     lam = np.concatenate([[-5.0, 3.0, -2.0], 1.0 / (2.0 + np.arange(n - 3))])
     lam[4::2] *= -1.0
@@ -298,17 +294,9 @@ def test_schatten_probe_indefinite_matches_svd_oracle(complex_vectors):
     M = _indefinite(n_ref, complex_vectors)
     assert bool(np.abs(M.imag).max() > 0.1) == complex_vectors
     for weight in (SobolevWeight(0.0), SobolevWeight(1.0)):
-        for rank_r in (None, 1):
-            got = schatten_convergence_probe(M, weight, n_list, rank_r=rank_r)
-            oracle = _scipy_schatten(M, weight, n_list, rank_r=rank_r)
-            assert np.all(np.abs(got - oracle) <= 1e-12 * np.abs(oracle))
-    # the oracle is sensitive to the sign: the rank-1 reference built from
-    # the largest signed eigenvalue is far from it
-    lam, V = np.linalg.eigh(M)
-    signed = lam[-1] * np.outer(V[:, -1], V[:, -1].conj())
-    wrong = _scipy_schatten(signed, SobolevWeight(0.0), n_list)
-    right = _scipy_schatten(M, SobolevWeight(0.0), n_list, rank_r=1)
-    assert np.all(np.abs(wrong - right) > 0.1 * right)
+        got = schatten_convergence_probe(_element_of(M), weight, n_list, n_ref=n_ref)
+        oracle = _scipy_schatten(M, weight, n_list)
+        assert np.all(np.abs(got - oracle) <= 1e-12 * np.abs(oracle))
 
 
 def _with_entry(i, value):
@@ -320,13 +308,13 @@ def _with_entry(i, value):
 @pytest.mark.parametrize(
     "M",
     [np.triu(np.ones((16, 16)))]
-    # a non-finite entry outside the leading block, or inside the block
-    # that every residual zeroes before taking its norm
+    # a non-finite entry outside the sampled symmetry pairs, or inside the
+    # block that every residual zeroes before taking its norm
     + [_with_entry(i, bad) for i in (12, 1) for bad in (np.nan, np.inf)],
 )
 def test_schatten_probe_rejects_bad_matrix(M):
-    with pytest.raises(NonHermitianInput):
-        schatten_convergence_probe(M, SobolevWeight(0.0), [4, 8])
+    with pytest.raises((HermiticityViolation, NonHermitianInput)):
+        schatten_convergence_probe(_element_of(M), SobolevWeight(0.0), [4, 8])
 
 
 def _identity_element_with(mode, value):
@@ -347,35 +335,3 @@ def _identity_element_with(mode, value):
 def test_schatten_probe_rejects_non_finite_element(mode, error, bad):
     with pytest.raises(error, match="finite"):
         schatten_convergence_probe(_identity_element_with(mode, bad), SobolevWeight(0.0), [4, 8], n_ref=16)
-
-
-@pytest.mark.parametrize("rank_r", [0, -1, 41, 2.0, True, "2"])
-def test_schatten_probe_rejects_bad_rank(rank_r):
-    u = 1.0 / (1.0 + np.arange(40, dtype=float))
-    with pytest.raises(ValueError, match="rank_r"):
-        schatten_convergence_probe(np.outer(u, u), SobolevWeight(0.0), [4, 8], rank_r=rank_r)
-
-
-def test_schatten_probe_rank_cut_through_tie_raises():
-    # the weighted position operator is i times a real antisymmetric
-    # matrix, so its spectrum comes in pairs +-lambda
-    X = position_matrix(40)
-    for rank_r in (1, 3):
-        with pytest.raises(ValueError, match="not unique"):
-            schatten_convergence_probe(X, SobolevWeight(1.0), [4, 8, 16], rank_r=rank_r)
-    for rank_r in (2, 4):
-        got = schatten_convergence_probe(X, SobolevWeight(1.0), [4, 8, 16], rank_r=rank_r)
-        oracle = _scipy_schatten(X, SobolevWeight(1.0), [4, 8, 16], rank_r=rank_r)
-        assert np.all(np.abs(got - oracle) <= 1e-12 * np.abs(oracle))
-
-
-def test_schatten_probe_rank_at_or_past_operator_rank_is_unreduced():
-    # past the operator's rank the cut splits eigenvalues at rounding
-    # level; the rank-r reference is the operator itself, and so it is at
-    # rank_r = n_ref, given as a Python or a NumPy int
-    u = 1.0 / (1.0 + np.arange(40, dtype=float))
-    A = np.outer(u, u)
-    full = schatten_convergence_probe(A, SobolevWeight(0.0), [4, 8, 16])
-    for rank_r in (1, 2, 40, np.int64(40)):
-        got = schatten_convergence_probe(A, SobolevWeight(0.0), [4, 8, 16], rank_r=rank_r)
-        assert np.all(np.abs(got - full) <= 1e-12 * full)
