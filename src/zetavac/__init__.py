@@ -29,7 +29,6 @@ from .models import (
 )
 from .pauli import (
     PauliCoefficients,
-    PauliWord,
     decompose,
     reconstruct,
 )

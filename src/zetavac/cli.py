@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ from .models import (
     hydrogen_matrix,
     position_matrix,
 )
-from .pauli import PauliWord, decompose, reconstruct
+from .pauli import decompose, reconstruct
 from .spectral import eig_hermitian
 from .truncation import (
     SobolevWeight,
@@ -99,34 +100,38 @@ _DEFAULTS = {
 }
 
 
-def _parse_scalar(tok: str, where: str):
-    tok = tok.strip()
-    if tok.startswith('"') and tok.endswith('"') and len(tok) >= 2:
-        return tok[1:-1]
-    if tok in ("true", "false"):
-        return tok == "true"
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse value {tok!r}") from None
+def _parse_value(text: str, default, where: str):
+    """One config value, read as the type of its key's default; ``where`` prefixes errors.
 
-
-def _parse_value(val: str, where: str):
-    """One config value, a bracketed list of scalars or a scalar; ``where`` prefixes errors."""
-    if not val.startswith("["):
-        return _parse_scalar(val, where)
-    if not val.endswith("]"):
-        raise ConfigError(f"{where}: unterminated list {val!r}")
-    inner = val[1:-1].strip()
-    return [_parse_scalar(t, where) for t in inner.split(",")] if inner else []
+    A string may be quoted or not; a float key takes a finite int or float
+    (an int literal stays an int, so config hashes keep); a list is bracketed
+    and its elements take the type of the default's (no list default is empty).
+    """
+    if isinstance(default, list):
+        if not text.startswith("["):
+            raise ConfigError(f"{where}: expected a bracketed list, got {text!r}")
+        if not text.endswith("]"):
+            raise ConfigError(f"{where}: unterminated list {text!r}")
+        inner = text[1:-1].strip()
+        return [_parse_value(t.strip(), default[0], where) for t in inner.split(",")] if inner else []
+    if isinstance(default, str):
+        return text[1:-1] if len(text) >= 2 and text[0] == text[-1] == '"' else text
+    try:
+        return int(text)
+    except ValueError:
+        if isinstance(default, int):
+            raise ConfigError(f"{where}: expected an int, got {text!r}") from None
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{where}: expected a number, got {text!r}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {text!r}")
+    return value
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse the key = value config dialect (strings, numbers, bools, lists)."""
+    """Split the key = value config dialect into keys and the raw text of their values."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -141,58 +146,43 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: empty key")
         if not val.startswith("[") and '"' not in val:
             val = val.split("#", 1)[0].strip()
-        out[key] = _parse_value(val, f"line {lineno}")
+        out[key] = val
     return out
-
-
-def _check_type(key: str, val, default):
-    if isinstance(default, bool):
-        ok = isinstance(val, bool)
-    elif isinstance(default, int):
-        ok = isinstance(val, int) and not isinstance(val, bool)
-    elif isinstance(default, float):
-        ok = isinstance(val, (int, float)) and not isinstance(val, bool)
-    elif isinstance(default, list):
-        ok = isinstance(val, list)
-    else:
-        ok = isinstance(val, str)
-    if not ok:
-        raise ConfigError(f"{key!r} expects {type(default).__name__}, got {val!r}")
 
 
 def _effective_config(command: str, args) -> dict:
     cfg = dict(_DEFAULTS[command])
     cfg["seed"] = 0
+    items = []
     if args.config is not None:
         try:
             with open(args.config) as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        for key, val in parse_config_text(text).items():
-            if key not in cfg:
-                raise ConfigError(f"unknown config key {key!r} for {command}")
-            _check_type(key, val, cfg[key])
-            cfg[key] = val
+        items += [(key, val, f"{args.config}: {key}") for key, val in parse_config_text(text).items()]
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
+        items.append((key, val, f"--set {key}"))
+    for key, val, where in items:
         if key not in cfg:
             raise ConfigError(f"unknown config key {key!r} for {command}")
-        if isinstance(cfg[key], str):
-            # string-valued keys take the flag value verbatim (quotes optional)
-            strip = val.startswith('"') and val.endswith('"') and len(val) >= 2
-            parsed = val[1:-1] if strip else val
-        else:
-            parsed = _parse_value(val, f"--set {key}")
-        _check_type(key, parsed, cfg[key])
-        cfg[key] = parsed
+        cfg[key] = _parse_value(val, cfg[key], where)
     if args.seed is not None:
         cfg["seed"] = args.seed
     if cfg["seed"] < 0:  # NumPy seeds only from non-negative integers
         raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
     return cfg
+
+
+def _hydrogen_params(cfg) -> HydrogenParams:
+    """The model of ``m`` and ``q``; a value out of range is a config error."""
+    try:
+        return HydrogenParams(m=cfg["m"], q=cfg["q"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _config_hash(cfg: dict) -> str:
@@ -226,7 +216,7 @@ _VACUUM_RESIDUAL_BOUND = 1e-12
 
 
 def cmd_hydrogen_convergence(cfg, out_dir, check) -> int:
-    params = HydrogenParams(m=cfg["m"], q=cfg["q"])
+    params = _hydrogen_params(cfg)
     if cfg["mode"] == "dimension":
         if cfg["n_step"] < 1 or not 1 <= cfg["n_start"] <= cfg["n_stop"]:
             raise ConfigError("need n_step >= 1 and 1 <= n_start <= n_stop")
@@ -301,7 +291,7 @@ def cmd_vqe(cfg, out_dir, check) -> int:
         raise ConfigError(f"need max_iter >= 1 and restarts >= 0, got {cfg['max_iter']} and {cfg['restarts']}")
     if cfg["shots"] < 0 or cfg["shots"] == 1:
         raise ConfigError(f"shots must be 0 (off) or at least 2 for a standard error, got {cfg['shots']}")
-    params = HydrogenParams(m=cfg["m"], q=cfg["q"])
+    params = _hydrogen_params(cfg)
     opt = OptimizerConfig(seed=cfg["seed"], max_iter=cfg["max_iter"])
     coeff_list, exact = [], []
     for Q in range(1, cfg["q_max"] + 1):
@@ -343,7 +333,9 @@ def cmd_zeta(cfg, out_dir, check) -> int:
     if cfg["ff_z_points"] < 1 or cfg["ff_n_max"] < 1 or len(cfg["ff_t_list"]) < 2:
         # the identity check needs a z point, the slope fit two times
         raise ConfigError("need ff_z_points >= 1, ff_n_max >= 1 and at least two ff_t_list values")
-    params = HydrogenParams(m=cfg["m"], q=cfg["q"])
+    if min(cfg["ff_t_list"]) <= 0 or cfg["fock_t"] <= 0 or cfg["fock_cutoff"] < 10:
+        raise ConfigError("need positive ff_t_list values and fock_t, and fock_cutoff >= 10")
+    params = _hydrogen_params(cfg)
     z_re = np.linspace(cfg["z_re_min"], cfg["z_re_max"], cfg["z_re_points"])
     z_im = np.linspace(cfg["z_im_min"], cfg["z_im_max"], cfg["z_im_points"])
     try:
@@ -427,16 +419,16 @@ def cmd_zeta(cfg, out_dir, check) -> int:
 
 
 def cmd_pauli_export(cfg, out_dir, check) -> int:
-    params = HydrogenParams(m=cfg["m"], q=cfg["q"])
+    params = _hydrogen_params(cfg)
     Q = cfg["qubits"]
     if Q < 1:
         raise ConfigError(f"qubits must be at least 1, got {Q}")
     H = hydrogen_matrix(1 << Q, params)
     c = decompose(H)
     cfg_hash = _config_hash(cfg)
-    rows = []
-    for q in range(4**Q):
-        rows.append((q, PauliWord.from_index(Q, q).label(), float(c.coeffs[q])))
+    # product counts in base 4, most significant digit first: the word index order
+    labels = ("".join(digits) for digits in itertools.product("0123", repeat=Q))
+    rows = [(q, label, coeff) for q, (label, coeff) in enumerate(zip(labels, c.coeffs.tolist()))]
     _write_csv(
         os.path.join(out_dir, "pauli_coefficients.csv"),
         cfg_hash,
@@ -477,7 +469,7 @@ def _mode_tail_oracle(n: int, n_ref: int) -> float:
 
 
 def cmd_lemma_probes(cfg, out_dir, check) -> int:
-    params = HydrogenParams(m=cfg["m"], q=cfg["q"])
+    params = _hydrogen_params(cfg)
     n_ref = cfg["n_ref"]
     n_list = list(cfg["n_list"])
     if not n_list or min(n_list) < 1 or n_ref < 2 * max(n_list):

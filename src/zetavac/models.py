@@ -126,22 +126,18 @@ def log_gamma(z: complex) -> complex:
 class FreeFieldParams:
     """Single-mode free field: N quanta of the lowest momentum mode.
 
-    X is the circumference of the spatial circle, T the evolution time,
-    z the regularization exponent.
+    T is the evolution time, z the regularization exponent.
     """
 
     N: int
     T: float
     z: complex = 0j
-    X: float = 2.0 * math.pi
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"occupation N must be at least 1, got {self.N}")
         if not self.T > 0:
             raise ValueError(f"time T must be positive, got {self.T}")
-        if not self.X > 0:
-            raise ValueError(f"circumference X must be positive, got {self.X}")
 
 
 def freefield_zeta_ratio(params: FreeFieldParams) -> complex:

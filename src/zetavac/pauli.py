@@ -27,7 +27,6 @@ from .spectral import require_hermitian
 
 __all__ = [
     "SIGMA",
-    "PauliWord",
     "PauliCoefficients",
     "decompose",
     "reconstruct",
@@ -54,37 +53,6 @@ def _qubit_count(dim: int) -> int:
     if dim < 2 or dim != 1 << q:
         raise NotPowerOfTwo(f"dimension {dim} is not a power of two >= 2")
     return q
-
-
-@dataclass(frozen=True)
-class PauliWord:
-    """Tensor product of single-qubit Paulis, digits most significant first."""
-
-    qubits: int
-    digits: tuple
-
-    def __post_init__(self):
-        if self.qubits < 1:
-            raise ValueError("need at least one qubit")
-        if len(self.digits) != self.qubits or any(d not in (0, 1, 2, 3) for d in self.digits):
-            raise ValueError(f"digits {self.digits} invalid for {self.qubits} qubits")
-
-    @classmethod
-    def from_index(cls, qubits: int, q: int) -> "PauliWord":
-        if not 0 <= q < 4**qubits:
-            raise ValueError(f"index {q} out of range for {qubits} qubits")
-        digits = tuple((q >> (2 * n)) & 3 for n in reversed(range(qubits)))
-        return cls(qubits, digits)
-
-    @property
-    def index(self) -> int:
-        out = 0
-        for d in self.digits:
-            out = (out << 2) | d
-        return out
-
-    def label(self) -> str:
-        return "".join(str(d) for d in self.digits)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,11 @@ __all__ = [
 # a tile pair and its scratch buffers stay in a core's cache.
 _TILE = 256
 
+# Largest |M - M^H| entry allowed, relative to max|M|.
+_HERMITIAN_TOL = 1e-12
 
-def _hermitian_and_scale(M, tol: float = 1e-12):
+
+def _hermitian_and_scale(M):
     """``require_hermitian``, also returning max|M| (0.0 for an empty matrix).
 
     Each upper-triangle tile is compared with the conjugate of its mirror
@@ -58,24 +61,24 @@ def _hermitian_and_scale(M, tol: float = 1e-12):
             d = np.conjugate(lower.T, out=diff[: h * w].reshape(h, w))
             np.subtract(upper, d, out=d)
             dev = max(dev, np.abs(d, out=mag[: h * w].reshape(h, w)).max())
-    if dev > tol * max(scale, 1e-300):
+    if dev > _HERMITIAN_TOL * max(scale, 1e-300):
         raise NonHermitianInput(
             f"matrix deviates from Hermitian symmetry by {dev:.3e} "
-            f"(allowed {tol:.1e} * {scale:.3e})"
+            f"(allowed {_HERMITIAN_TOL:.1e} * {scale:.3e})"
         )
     return M, float(scale)
 
 
-def require_hermitian(M, tol: float = 1e-12) -> np.ndarray:
+def require_hermitian(M) -> np.ndarray:
     """Validate Hermitian symmetry and return ``M`` as a complex array.
 
-    The tolerance is relative to the largest entry magnitude, so matrices
+    The 1e-12 tolerance is relative to the largest entry magnitude, so matrices
     assembled from floating-point arithmetic pass as long as their
     asymmetry is at rounding level.  NaN or infinite entries are rejected,
     since no symmetry test can hold on them; so is an entry whose
     magnitude overflows.
     """
-    return _hermitian_and_scale(M, tol)[0]
+    return _hermitian_and_scale(M)[0]
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:

@@ -248,6 +248,16 @@ def zero_pad(x, n: int) -> np.ndarray:
     return out
 
 
+def _check_probe_sizes(n_list: list, n_ref: int) -> None:
+    """Every probed size at least 1, as in ``mode_list``, and within half the reference grid."""
+    if min(n_list) < 1:
+        raise ValueError(f"basis size must be at least 1, got {min(n_list)}")
+    if n_ref < 2 * max(n_list):
+        raise GridTooSmall(
+            f"reference grid {n_ref} is smaller than twice max(n_list)={max(n_list)}"
+        )
+
+
 def strong_convergence_probe(A, x, n_list) -> np.ndarray:
     """Residuals of truncated operator application against a reference grid.
 
@@ -259,10 +269,7 @@ def strong_convergence_probe(A, x, n_list) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     n_ref = x.shape[0]
     n_list = list(n_list)
-    if n_ref < 2 * max(n_list):
-        raise GridTooSmall(
-            f"reference grid {n_ref} is smaller than twice max(n_list)={max(n_list)}"
-        )
+    _check_probe_sizes(n_list, n_ref)
     A = np.asarray(A, dtype=complex)
     if A.shape != (n_ref, n_ref):
         raise DimensionMismatch(f"operator {A.shape} vs grid {n_ref}")
@@ -294,10 +301,7 @@ def schatten_convergence_probe(
     n_list = list(n_list)
     if n_ref is None:
         n_ref = 2 * max(n_list)
-    if n_ref < 2 * max(n_list):
-        raise GridTooSmall(
-            f"reference grid {n_ref} is smaller than twice max(n_list)={max(n_list)}"
-        )
+    _check_probe_sizes(n_list, n_ref)
     half = weight.values(mode_list(n_ref)) ** -0.5
     A_w = half[:, None] * project_operator(element, n_ref) * half[None, :]
     if not A_w.imag.any():

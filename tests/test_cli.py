@@ -8,9 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from zetavac import __version__, cli
-from zetavac.cli import ConfigError, build_parser, main, parse_config_text
+from zetavac.cli import build_parser, main
 from zetavac.models import HydrogenParams, hydrogen_matrix
-from zetavac.pauli import PauliWord, decompose
+from zetavac.pauli import decompose
 from zetavac.truncation import vacuum_state
 
 
@@ -36,36 +36,59 @@ def read_json(path):
 
 
 class TestParseConfigText:
-    def test_scalar_types(self):
-        text = 'count = 5\nrate = 1.5\nname = "abc"\non = true\noff = false'
-        cfg = parse_config_text(text)
-        assert cfg == {"count": 5, "rate": 1.5, "name": "abc", "on": True, "off": False}
-        assert isinstance(cfg["count"], int)
+    """The config-file dialect, read through ``main`` with real keys."""
 
-    def test_lists(self):
-        cfg = parse_config_text("xs = [1, 2, 3]\nys = [0.5, 1.5]\nempty = []")
-        assert cfg["xs"] == [1, 2, 3]
-        assert cfg["ys"] == [0.5, 1.5]
-        assert cfg["empty"] == []
+    def effective_config(self, tmp_path, capsys, monkeypatch, text, command="zeta"):
+        seen = {}
+        monkeypatch.setitem(cli._COMMANDS, command, lambda cfg, out, check: seen.update(cfg) or 0)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        code, _, err = run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")], capsys)
+        assert code == 0, err
+        return seen
 
-    def test_comments_sections_and_blanks_skipped(self):
-        cfg = parse_config_text("# a comment\n\n[section]\nkey = 1\n")
-        assert cfg == {"key": 1}
+    def test_scalar_types(self, tmp_path, capsys, monkeypatch):
+        text = 'z_re_points = 5\nz_re_min = -1.5\nq = 2\nobservable = "position"'
+        cfg = self.effective_config(tmp_path, capsys, monkeypatch, text)
+        assert (cfg["z_re_points"], cfg["z_re_min"], cfg["observable"]) == (5, -1.5, "position")
+        # an int literal for a float key stays an int, so the config hash does not change
+        assert type(cfg["z_re_points"]) is int and type(cfg["q"]) is int
 
-    def test_inline_comment_stripped(self):
-        assert parse_config_text("k = 5 # five")["k"] == 5
+    def test_lists(self, tmp_path, capsys, monkeypatch):
+        text = "n_list = [8, 16, 32]\nff_t_list = [0.5, 1.5]"
+        cfg = self.effective_config(tmp_path, capsys, monkeypatch, text)
+        assert cfg["n_list"] == [8, 16, 32]
+        assert cfg["ff_t_list"] == [0.5, 1.5]
+        assert self.effective_config(tmp_path, capsys, monkeypatch, "n_list = []")["n_list"] == []
 
-    def test_hash_inside_quotes_preserved(self):
-        assert parse_config_text('k = "a#b"')["k"] == "a#b"
+    def test_comments_sections_and_blanks_skipped(self, tmp_path, capsys, monkeypatch):
+        cfg = self.effective_config(tmp_path, capsys, monkeypatch, "# a comment\n\n[zeta]\nz_re_points = 1\n")
+        assert cfg == dict(cli._DEFAULTS["zeta"], z_re_points=1, seed=0)
+
+    def test_inline_comment_stripped(self, tmp_path, capsys, monkeypatch):
+        cfg = self.effective_config(tmp_path, capsys, monkeypatch, "z_re_points = 5 # five")
+        assert cfg["z_re_points"] == 5
+
+    def test_hash_inside_quotes_preserved(self, tmp_path, capsys, monkeypatch):
+        assert self.effective_config(tmp_path, capsys, monkeypatch, 'observable = "a#b"')["observable"] == "a#b"
+
+    def test_unquoted_string_accepted(self, tmp_path, capsys, monkeypatch):
+        cfg = self.effective_config(tmp_path, capsys, monkeypatch, "mode = qubits", "hydrogen-convergence")
+        assert cfg["mode"] == "qubits"
 
     @pytest.mark.parametrize(
         "text",
-        ["just words", "= 5", "xs = [1, 2", "k = @@"],
+        ["just words", "= 5", "n_list = [8, 16", "z_re_points = @@"],
         ids=["no-equals", "empty-key", "open-list", "bad-token"],
     )
-    def test_malformed_lines_raise(self, text):
-        with pytest.raises(ConfigError):
-            parse_config_text(text)
+    def test_malformed_lines_raise(self, tmp_path, capsys, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        code, _, err = run_cli(["zeta", "--config", str(path), "--out", str(out)], capsys)
+        assert code == 2, err
+        assert "config error" in err
+        assert not out.exists()
 
 
 class TestConfigHandling:
@@ -137,9 +160,38 @@ class TestConfigHandling:
             ["zeta", "--set", "ff_t_list=[1000.0]"],
             ["hydrogen-convergence", "--set", "n_ref=0"],
             ["hydrogen-convergence", "--set", "mode=qubits", "--set", "q_max=2", "--set", "q_ref=0"],
+            # physics keys out of their model's range
+            ["hydrogen-convergence", "--set", "m=-1"],
+            ["pauli-export", "--set", "m=0"],
+            ["vqe", "--set", "m=0"],
+            ["zeta", "--set", "q=-1"],
+            ["zeta", "--set", "fock_cutoff=5"],
+            ["zeta", "--set", "fock_t=-1"],
+            ["zeta", "--set", "ff_t_list=[-1.0, 10.0]"],
         ],
     )
     def test_out_of_range_size_exits_2(self, tmp_path, capsys, argv):
+        code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
+        assert code == 2, err
+        assert "config error" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # list elements take the type of the default's elements
+            ["zeta", "--set", "n_list=[8.5,16]"],
+            ["lemma-probes", "--set", "n_list=[8,16.0]"],
+            ["zeta", "--set", 'n_list=["a"]'],
+            ["zeta", "--set", "ff_t_list=[true,false]"],
+            # floats must be finite
+            ["zeta", "--set", "q=nan"],
+            ["lemma-probes", "--set", "sobolev_s=nan"],
+            ["zeta", "--set", "fock_t=inf"],
+            ["zeta", "--set", "ff_t_list=[10.0, inf]"],
+        ],
+    )
+    def test_mistyped_or_non_finite_value_exits_2(self, tmp_path, capsys, argv):
         code, _, err = run_cli(argv + ["--out", str(tmp_path)], capsys)
         assert code == 2, err
         assert "config error" in err
@@ -529,7 +581,8 @@ class TestPauliExportCommand:
         coeffs = decompose(hydrogen_matrix(4, HydrogenParams()))
         for row in rows:
             q = int(row[0])
-            assert row[1] == PauliWord.from_index(2, q).label()
+            # base-4 digits of the word index, most significant first
+            assert row[1] == f"{q >> 2}{q & 3}"
             # the shortest repr of a double round-trips it exactly
             assert float(row[2]) == coeffs.coeffs[q]
 

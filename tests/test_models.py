@@ -198,8 +198,6 @@ class TestFreeFieldRatio:
             FreeFieldParams(N=0, T=1.0)
         with pytest.raises(ValueError):
             FreeFieldParams(N=1, T=0.0)
-        with pytest.raises(ValueError):
-            FreeFieldParams(N=1, T=1.0, X=-1.0)
 
 
 def fock_direct_sum(z, T, cutoff, v=4.0 * math.pi):

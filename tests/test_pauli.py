@@ -15,7 +15,6 @@ from zetavac.errors import DimensionMismatch, NonHermitianInput, NotPowerOfTwo
 from zetavac.models import hydrogen_matrix
 from zetavac.pauli import (
     PauliCoefficients,
-    PauliWord,
     decompose,
     reconstruct,
 )
@@ -54,25 +53,6 @@ def tensordot_reconstruct(coeffs, Q):
         T = np.tensordot(T, np.array(LOCAL), axes=([0], [0]))
     perm = list(range(0, 2 * Q, 2)) + list(range(1, 2 * Q, 2))
     return T.transpose(perm).reshape(2**Q, 2**Q)
-
-
-class TestPauliWord:
-    def test_index_round_trip(self):
-        for q in range(64):
-            w = PauliWord.from_index(3, q)
-            assert w.index == q
-
-    def test_label(self):
-        assert PauliWord.from_index(2, 5).label() == "11"
-        assert PauliWord.from_index(3, 6).label() == "012"
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            PauliWord.from_index(2, 16)
-        with pytest.raises(ValueError):
-            PauliWord(2, (1, 4))
-        with pytest.raises(ValueError):
-            PauliWord(0, ())
 
 
 class TestDecompose:

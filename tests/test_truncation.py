@@ -274,6 +274,23 @@ def test_schatten_probe_grid_guard():
         schatten_convergence_probe(lambda l, k: float(l == k), SobolevWeight(0.0), [4, 9], n_ref=16)
 
 
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda n_list: strong_convergence_probe(np.eye(16), np.full(16, 0.25), n_list),
+        lambda n_list: schatten_convergence_probe(
+            lambda l, k: float(l == k), SobolevWeight(0.0), n_list, n_ref=16
+        ),
+    ],
+    ids=["strong", "schatten"],
+)
+@pytest.mark.parametrize("n_list", [[-3, 4], [0, 4]])
+def test_probes_reject_sizes_below_one(probe, n_list):
+    # a negative n would slice A[:n, :n] from the far end instead of failing
+    with pytest.raises(ValueError, match="at least 1"):
+        probe(n_list)
+
+
 def _indefinite(n, complex_vectors):
     # eigenvalues with distinct magnitudes and both signs, the largest in
     # magnitude negative
