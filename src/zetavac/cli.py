@@ -222,12 +222,12 @@ def cmd_hydrogen_convergence(cfg, out_dir, check) -> int:
             raise ConfigError("need n_step >= 1 and 1 <= n_start <= n_stop")
         abscissa = list(range(cfg["n_start"], cfg["n_stop"] + 1, cfg["n_step"]))
         dims = abscissa
-        if cfg["n_ref"] < 1:
-            raise ConfigError(f"n_ref must be at least 1, got {cfg['n_ref']}")
+        if cfg["n_ref"] <= dims[-1]:
+            raise ConfigError(f"n_ref must exceed the largest swept size {dims[-1]}, got {cfg['n_ref']}")
         ref_dim, expected_rate = cfg["n_ref"], 0.00644
     elif cfg["mode"] == "qubits":
-        if cfg["q_max"] < 1 or cfg["q_ref"] < 1:
-            raise ConfigError(f"need q_max and q_ref at least 1, got {cfg['q_max']} and {cfg['q_ref']}")
+        if not 1 <= cfg["q_max"] < cfg["q_ref"]:
+            raise ConfigError(f"need 1 <= q_max < q_ref, got {cfg['q_max']} and {cfg['q_ref']}")
         abscissa = list(range(1, cfg["q_max"] + 1))
         dims = [1 << a for a in abscissa]
         ref_dim, expected_rate = 1 << cfg["q_ref"], 1.92
@@ -367,12 +367,6 @@ def cmd_zeta(cfg, out_dir, check) -> int:
                 )
             except ArithmeticError:
                 rows.append((n, float(z.real), float(z.imag), float("nan"), float("nan"), 0.0, 1))
-    _write_csv(
-        os.path.join(out_dir, "zeta_grid.csv"),
-        cfg_hash,
-        ["n", "z_re", "z_im", "ratio_re", "ratio_im", "denom_abs", "excluded"],
-        rows,
-    )
 
     # Free-field closed form: identity against N*(z+3)/(iT), T-scaling slope.
     z_grid = np.linspace(-2.5, 2.2, cfg["ff_z_points"])
@@ -402,6 +396,13 @@ def cmd_zeta(cfg, out_dir, check) -> int:
             "tail_error_bound": fock_diag["ratio_error_bound"],
         },
     }
+    # both files are written only once every series has been evaluated
+    _write_csv(
+        os.path.join(out_dir, "zeta_grid.csv"),
+        cfg_hash,
+        ["n", "z_re", "z_im", "ratio_re", "ratio_im", "denom_abs", "excluded"],
+        rows,
+    )
     _write_json(os.path.join(out_dir, "freefield.json"), cfg_hash, payload)
     if check:
         if off_identity:

@@ -8,11 +8,12 @@ axis of the state, so each gate is three ufunc calls over the whole
 batch; this makes both the gradient and the line search essentially
 free.  The classical loop is BFGS on exact parameter-shift gradients
 (in the pi-shift form, so one batch of P + 1 circuits gives the energy
-and all P derivatives) with a batched grid line minimization.  Energies
-are quadratic forms of the reconstructed matrix.  Word expectations, the
-quantities a device measures and the input of ``sampled_energy``, come
-from the package's one Pauli transform: <psi|S^q|psi> is 2^Q times
-coefficient q of decompose(|psi><psi|).
+and all P derivatives), each step going to the lowest point of a
+batched log-spaced step grid.  Energies are quadratic forms of the
+reconstructed matrix.  Word expectations, the quantities a device
+measures and the input of ``sampled_energy``, come from the package's
+one Pauli transform: <psi|S^q|psi> is 2^Q times coefficient q of
+decompose(|psi><psi|).
 """
 from __future__ import annotations
 
@@ -202,8 +203,8 @@ def _params_hash(params: np.ndarray) -> str:
     return hashlib.sha256(params.tobytes()).hexdigest()[:16]
 
 
-# _line_min's step grids: the coarse pass around the quasi-Newton step 1
-# and the fallback pass down to 1e-7
+# the line search's step grids: the coarse pass around the quasi-Newton
+# step 1 and the fallback pass down to 1e-7
 _COARSE_STEPS = np.geomspace(1.0 / 32.0, 4.0, 12)
 _FALLBACK_STEPS = np.geomspace(1e-7, 1.0 / 64.0, 10)
 
@@ -214,50 +215,12 @@ def _energy_and_gradient(spec: AnsatzSpec, H: np.ndarray, x: np.ndarray):
     Row 0 is psi(x) and row k is psi(x + pi e_k).  Angle k enters as
     exp(-i x_k G / 2) with G a Pauli word and exp(-i pi G / 2) = -iG, so
     psi(x + pi e_k) = 2 d psi / d x_k and dE/dx_k = Re <psi(x + pi e_k)|H|psi(x)>.
+    ``minimize`` runs it once at the start point and once per step.
     """
     P = spec.n_params
     psi = _propagate(spec, x + np.pi * np.eye(P + 1, P, k=-1))  # rows 1..P shift one angle each
     hpsi = psi[0].conj() @ H
     return float((hpsi * psi[0]).sum().real), (psi[1:] @ hpsi).real
-
-
-def _line_min(fbatch, x, d, fx):
-    """Batched grid line minimization along d.
-
-    One coarse pass of 12 log-spaced steps around the quasi-Newton step
-    length 1 (with a finer fallback pass down to 1e-7 when none of them
-    descends) and one linear refinement around the coarse winner, each
-    one batched propagation.  Returns None when nothing lies below fx,
-    else (step, energy, polished): the best grid step, its energy, and
-    the vertex of the parabola through the refined triple, or None when
-    there is no convex triple.  The caller evaluates the polished step,
-    with its gradient batch.
-    """
-    steps = _COARSE_STEPS
-    vals = fbatch(x[None, :] + steps[:, None] * d[None, :])
-    i = int(np.argmin(vals))
-    if vals[i] >= fx:  # nothing below fx at coarse scale; probe far smaller
-        steps = _FALLBACK_STEPS
-        vals = fbatch(x[None, :] + steps[:, None] * d[None, :])
-        i = int(np.argmin(vals))
-        if vals[i] >= fx:
-            return None
-    lo = steps[i - 1] if i > 0 else steps[0] / 4.0
-    hi = steps[i + 1] if i < steps.size - 1 else steps[-1] * 2.0
-    fine = np.linspace(lo, hi, 10)
-    fvals = fbatch(x[None, :] + fine[:, None] * d[None, :])
-    j = int(np.argmin(fvals))
-    if fvals[j] < vals[i]:
-        best_step, best_val = fine[j], fvals[j]
-    else:
-        best_step, best_val = steps[i], vals[i]
-    polished = None
-    if 0 < j < fine.size - 1:
-        left, mid, right = fvals[j - 1], fvals[j], fvals[j + 1]
-        curvature = left - 2.0 * mid + right
-        if curvature > 0.0:
-            polished = float(fine[j] + 0.5 * (left - right) / curvature * (fine[1] - fine[0]))
-    return float(best_step), float(best_val), polished
 
 
 def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initial=None) -> MinimizeResult:
@@ -266,15 +229,16 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
     The gradient is the exact parameter-shift rule in its pi-shift form,
     dE/dt_k = Re <psi(t + pi e_k)|H|psi(t)>: the energy and all P
     derivatives at a point come from one (P + 1)-row propagation
-    (``_energy_and_gradient``).  Steps are taken with the batched grid
-    line search, whose parabolic polish that batch settles: it runs at
-    the polished step and is kept when its energy beats the grid
-    winner's, else it runs again at the winner.  The inverse-Hessian
-    estimate is reset to the identity when its direction does not
-    descend or the search along it finds nothing, and the run returns
-    once a search along the steepest-descent direction finds nothing
-    either.  The trace records (iteration, energy, gradient_norm,
-    params_hash) rows ready for JSON-lines serialization.
+    (``_energy_and_gradient``).  Each step goes to the lowest point of a
+    batched grid line search: 12 log-spaced steps around the quasi-Newton
+    length 1, and 10 down to 1e-7 only when none of those descends, each
+    grid one propagation.  An iteration is thus a grid and one gradient
+    batch at the new point.  The inverse-Hessian estimate is reset to the
+    identity when its direction does not descend or the search along it
+    finds nothing, and the run returns once a search along the
+    steepest-descent direction finds nothing either.  The trace records
+    (iteration, energy, gradient_norm, params_hash) rows ready for
+    JSON-lines serialization.
 
     When max_iter iterations pass without that happening, the run was cut
     off rather than finished: the result then has ``converged`` False and
@@ -292,11 +256,6 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
             raise ParamLengthMismatch(f"initial {x.shape} vs ({spec.n_params},)")
     H = reconstruct(c)
     P = spec.n_params
-
-    def fbatch(batch):
-        psi = _propagate(spec, batch)
-        return ((psi.conj() @ H) * psi).sum(axis=1).real
-
     fx, g = _energy_and_gradient(spec, H, x)
     hinv = np.eye(P)
     trace: list = []
@@ -307,23 +266,20 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
         if g @ d >= 0.0:  # lost descent; fall back to steepest descent
             hinv = np.eye(P)
             d = -g
-        found = _line_min(fbatch, x, d, fx)
-        if found is None:
+        for steps in (_COARSE_STEPS, _FALLBACK_STEPS):  # the fallback only if the coarse grid finds nothing
+            psi = _propagate(spec, x + steps[:, None] * d)
+            vals = ((psi.conj() @ H) * psi).sum(axis=1).real
+            i = int(np.argmin(vals))
+            if vals[i] < fx:
+                break
+        else:  # nothing below fx along d
             if not np.any(d + g):  # already searching along -g: converged
                 return MinimizeResult(x, fx, trace)
             hinv = np.eye(P)
             continue
-        step, val, polished = found
-        fnew = np.inf
-        if polished is not None:
-            fnew, gnew = _energy_and_gradient(spec, H, x + polished * d)
-        if fnew < val:
-            step = polished
-        else:  # no polish, or it does not beat the grid winner
-            fnew, gnew = _energy_and_gradient(spec, H, x + step * d)
-        s = step * d
+        s = steps[i] * d
         x = x + s
-        fx = fnew
+        fx, gnew = _energy_and_gradient(spec, H, x)
         y = gnew - g
         g = gnew
         sy = s @ y

@@ -160,6 +160,9 @@ class TestConfigHandling:
             ["zeta", "--set", "ff_t_list=[1000.0]"],
             ["hydrogen-convergence", "--set", "n_ref=0"],
             ["hydrogen-convergence", "--set", "mode=qubits", "--set", "q_max=2", "--set", "q_ref=0"],
+            # a reference no larger than the sweep leaves nothing to converge to
+            ["hydrogen-convergence", "--set", "n_ref=500"],
+            ["hydrogen-convergence", "--set", "mode=qubits", "--set", "q_max=6", "--set", "q_ref=4"],
             # physics keys out of their model's range
             ["hydrogen-convergence", "--set", "m=-1"],
             ["pauli-export", "--set", "m=0"],
@@ -560,11 +563,14 @@ class TestZetaCommand:
         assert "config error" in err and "distinct" in err
 
     def test_divergent_fock_series_exits_3(self, tmp_path, capsys):
+        # the series are evaluated before any file is written, so the
+        # failed run leaves no partial output behind
         code, _, err = run_cli(
             ["zeta", "--out", str(tmp_path), "--set", "fock_t=2.0"] + self.SMALL, capsys
         )
         assert code == 3
-        assert "error" in err
+        assert "SeriesDivergence" in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestPauliExportCommand:

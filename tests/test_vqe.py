@@ -35,7 +35,7 @@ from zetavac.vqe import (
     warm_start_embed,
     warm_started_chain,
 )
-from zetavac.vqe import _FALLBACK_STEPS, _energy_and_gradient, _params_hash, _propagate, _word_expectations
+from zetavac.vqe import _COARSE_STEPS, _FALLBACK_STEPS, _energy_and_gradient, _params_hash, _propagate, _word_expectations
 
 GROUND_Q1 = 0.392108816647
 GROUND_Q2 = 0.229395425745
@@ -303,11 +303,10 @@ class TestMinimize:
         with pytest.raises(SpecMismatch):
             minimize(AnsatzSpec(2, 1), c, OptimizerConfig())
 
-    def test_iteration_takes_three_propagations(self, monkeypatch):
-        # the gradient batch is P + 1 rows and also settles the line
-        # search's polish, so an iteration is a coarse grid, a fine grid and
-        # one gradient batch, plus one more batch for a rejected polish or a
-        # fallback grid; the start point takes one batch
+    def test_iteration_takes_two_propagations(self, monkeypatch):
+        # an iteration is a coarse grid and one (P + 1)-row gradient batch
+        # at the grid winner, plus the fallback grid when the coarse grid
+        # finds nothing; the start point takes one batch
         spec = AnsatzSpec(3, 8)
         P = spec.n_params
         batches = []
@@ -320,15 +319,9 @@ class TestMinimize:
         monkeypatch.setattr(vqe, "_propagate", counting)
         res = minimize(spec, decompose(hydrogen_matrix(8)), OptimizerConfig(seed=0))
         rows = [b.shape[0] for b in batches]
-        assert max(rows) <= P + 1
-        rejected = sum(a == b == P + 1 for a, b in zip(rows, rows[1:]))
-        # the fallback grid is log-spaced, the refinement grid linear
-        fallback = sum(
-            b.shape[0] == _FALLBACK_STEPS.size
-            and np.linalg.norm(b[2] - b[1]) > 2.0 * np.linalg.norm(b[1] - b[0])
-            for b in batches
-        )
-        assert len(batches) <= 3 * len(res.trace) + 2 * (rejected + fallback) + 1
+        assert set(rows) <= {_COARSE_STEPS.size, _FALLBACK_STEPS.size, P + 1}
+        fallback = rows.count(_FALLBACK_STEPS.size)
+        assert len(batches) <= 2 * len(res.trace) + fallback + 1
 
 
 class TestWarmStartedChain:
