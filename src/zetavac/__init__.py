@@ -46,7 +46,6 @@ from .truncation import (
     schatten_convergence_probe,
     strong_convergence_probe,
     vacuum_state,
-    zero_pad,
 )
 from .vqe import (
     AnsatzSpec,

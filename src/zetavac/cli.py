@@ -134,8 +134,14 @@ def parse_config_text(text: str) -> dict:
     """Split the key = value config dialect into keys and the raw text of their values."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#") or (line.startswith("[") and line.endswith("]")):
+        line, quoted = raw, False
+        for i, ch in enumerate(raw):  # a "#" outside double quotes starts a comment
+            quoted ^= ch == '"'
+            if ch == "#" and not quoted:
+                line = raw[:i]
+                break
+        line = line.strip()
+        if not line or (line.startswith("[") and line.endswith("]")):
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
@@ -144,8 +150,6 @@ def parse_config_text(text: str) -> dict:
         val = val.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        if not val.startswith("[") and '"' not in val:
-            val = val.split("#", 1)[0].strip()
         out[key] = val
     return out
 
@@ -190,8 +194,18 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _create(path, **kwargs):
+    """Open ``path`` for writing, creating its directory.
+
+    The output directory is made here, at a run's first write, so a run
+    that fails before it writes leaves none behind.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", **kwargs)
+
+
 def _write_csv(path, cfg_hash, columns, rows):
-    with open(path, "w", newline="") as fh:
+    with _create(path, newline="") as fh:
         fh.write(f"# config_hash: {cfg_hash}\n")
         fh.write(f"# version: {__version__}\n")
         w = csv.writer(fh)
@@ -204,7 +218,7 @@ def _write_json(path, cfg_hash, payload: dict):
     payload = dict(payload)
     payload["config_hash"] = cfg_hash
     payload["version"] = __version__
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -301,17 +315,19 @@ def cmd_vqe(cfg, out_dir, check) -> int:
     results = warm_started_chain(coeff_list, cfg["layers"], opt, restarts=cfg["restarts"])
     cfg_hash = _config_hash(cfg)
     rows = []
-    with open(os.path.join(out_dir, "iterations.jsonl"), "w") as fh:
-        for Q, res, e0 in zip(range(1, cfg["q_max"] + 1), results, exact):
-            row = {"qubits": Q, "exact": e0, "vqe": res.energy, "deviation": res.energy - e0,
-                   "exit": "converged" if res.converged else "max_iter",
-                   "iterations": len(res.trace), "gradient_norm": res.trace[-1]["gradient_norm"]}
-            if cfg["shots"] > 0:
-                state = apply_ansatz(AnsatzSpec(Q, cfg["layers"]), res.params)
-                est, err = sampled_energy(state, coeff_list[Q - 1], cfg["shots"], seed=cfg["seed"] + Q)
-                row["sampled"] = est
-                row["stderr"] = err
-            rows.append(row)
+    for Q, res, e0 in zip(range(1, cfg["q_max"] + 1), results, exact):
+        row = {"qubits": Q, "exact": e0, "vqe": res.energy, "deviation": res.energy - e0,
+               "exit": "converged" if res.converged else "max_iter",
+               "iterations": len(res.trace), "gradient_norm": res.trace[-1]["gradient_norm"]}
+        if cfg["shots"] > 0:
+            state = apply_ansatz(AnsatzSpec(Q, cfg["layers"]), res.params)
+            est, err = sampled_energy(state, coeff_list[Q - 1], cfg["shots"], seed=cfg["seed"] + Q)
+            row["sampled"] = est
+            row["stderr"] = err
+        rows.append(row)
+    # every stage, sampling included, has run before the first file is opened
+    with _create(os.path.join(out_dir, "iterations.jsonl")) as fh:
+        for Q, res in zip(range(1, cfg["q_max"] + 1), results):
             for entry in res.trace:
                 fh.write(json.dumps(dict(entry, qubits=Q), sort_keys=True) + "\n")
     _write_json(os.path.join(out_dir, "vqe_results.json"), cfg_hash, {"rows": rows})
@@ -537,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="key = value config file")
-        sp.add_argument("--out", default=".", help="output directory")
+        sp.add_argument("--out", default=".", help="output directory, created at the first write")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--check", action="store_true", help="verify acceptance thresholds")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")
@@ -551,7 +567,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
     try:
         return _COMMANDS[args.command](cfg, args.out, args.check)
     except ConfigError as exc:

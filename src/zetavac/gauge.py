@@ -4,8 +4,9 @@ Everything here evaluates variants of <psi, H^z A psi> / <psi, H^z psi>
 on finite grids: the pointwise ratio, a sweep over grid sizes that masks
 collapsed denominators, the time-damped trace version, and a scan for
 zeros of the denominator.
-No H^z is formed: each is a spectral sum sum_j lambda_j^z w_j in the
-eigenbasis of H, evaluated by one function for all of them.
+No H^z is formed: each value, each scale and the rounding guard is a
+spectral sum sum_j lambda_j^z w_j in the eigenbasis of H, evaluated by
+one function, ``_spectral_sums``, for all of them.
 """
 from __future__ import annotations
 
@@ -65,16 +66,14 @@ class ZGrid:
         object.__setattr__(self, "points", pts)
 
 
-def _ground_state(system: EigenSystem):
-    if system.eigenvalues[0] <= 0.0:
-        raise NonPositiveSpectrum(
-            f"smallest eigenvalue {system.eigenvalues[0]:.6e} is not positive"
-        )
-    return system.vectors[:, 0]
-
-
 def _spectral_sums(lam: np.ndarray, zs, W: np.ndarray) -> np.ndarray:
-    """Sums sum_j lam_j^z W[j, k], one row per z in ``zs``, one column per k."""
+    """Sums sum_j lam_j^z W[j, k], one row per z in ``zs``, one column per k.
+
+    Raises NonPositiveSpectrum when lam (ascending) has no real logarithm,
+    and SingularFunctionValue naming the first z whose sums are not finite.
+    """
+    if lam[0] <= 0.0:
+        raise NonPositiveSpectrum(f"smallest eigenvalue {lam[0]:.6e} is not positive")
     zs = np.asarray(zs, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         sums = np.exp(np.outer(zs, np.log(lam))) @ W
@@ -84,48 +83,59 @@ def _spectral_sums(lam: np.ndarray, zs, W: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _ground_coefficients(system: EigenSystem):
-    """psi and c = V^dagger psi, which is e_0 up to rounding."""
-    psi = _ground_state(system)
-    c = (psi.conj() @ system.vectors).conj()  # V^dagger psi without copying V
-    return psi, c
+def _ground_sums(system: EigenSystem, zs, A=None) -> np.ndarray:
+    """Sums of the ground state psi = v_0, one row per z in ``zs``.
 
-
-def _check_amplification(lam: np.ndarray, zs, w: np.ndarray) -> None:
-    """Raise SingularFunctionValue at the first z where lambda^z lifts rounding.
-
-    w_j, j > 0, is the size of the rounding in term j of a spectral sum
-    relative to its exact leading term.  Past sum_{j>0} w_j
-    (lambda_j / lambda_0)^Re z = 1e-9 the sum returns amplified rounding,
-    not its value.
+    With c = V^dagger psi and d = V^dagger A psi the columns are the
+    numerator sum_j conj(c_j) lambda_j^z d_j (only when ``A`` is given) and
+    the denominator sum_j |c_j|^2 lambda_j^z.  Computed c is e_0 plus
+    rounding, so term j > 0 of the numerator is rounding of size |c_j| |d_j|
+    against the scale |c_0| ||d|| (>= |c_0 d_0|, and nonzero when the
+    expectation is), and of the denominator rounding of size |c_j|^2
+    against |c_0|^2.  With w_j the sum of the two relative sizes (the
+    denominator's alone without ``A``), the guard is one more spectral sum:
+    SingularFunctionValue is raised at the first z where
+    sum_{j>0} w_j lambda_j^Re z exceeds 1e-9 lambda_0^Re z, past which the
+    sums return amplified rounding, not their value.
     """
     zs = np.asarray(zs, dtype=complex)
-    # exponents in log space, clipped at 0: a clipped term alone puts the
-    # sum past 1e-9, and exact zeros in w (log 0 = -inf) add nothing
-    with np.errstate(divide="ignore"):
-        log_w = np.log(w[1:])
-    terms = np.exp(np.minimum(log_w + np.outer(zs.real, np.log(lam[1:] / lam[0])), 0.0))
-    bad = terms.sum(axis=1) > 1e-9
+    lam, V = system.eigenvalues, system.vectors
+    psi = V[:, 0]
+    c = (psi.conj() @ V).conj()  # V^dagger psi without copying V
+    c_rel = np.abs(c / c[0])
+    if A is None:
+        cols, w = [np.abs(c) ** 2], c_rel**2
+    else:
+        d = ((A @ psi).conj() @ V).conj()
+        d_norm = np.linalg.norm(d)
+        d_rel = np.abs(d) / d_norm if d_norm else 0.0  # d = 0 makes the numerator exactly 0
+        cols, w = [c.conj() * d, np.abs(c) ** 2], c_rel * (c_rel + d_rel)
+    sums = _spectral_sums(lam, zs, np.stack(cols, axis=1))
+    # the guard's two sums at Re z, the rounding terms j > 0 and their scale
+    # lambda_0^Re z, in a product of their own: stacked with the value sums
+    # they would change BLAS's summation order and the last bits of the values
+    guard = np.zeros((lam.size, 2))
+    guard[1:, 0] = w[1:]
+    guard[0, 1] = 1.0
+    rounding, scale = _spectral_sums(lam, zs.real, guard).real.T
+    bad = rounding > 1e-9 * scale
     if bad.any():
         raise SingularFunctionValue(
             f"lambda^z amplifies eigenvector rounding above 1e-9 at z = {zs[bad][0]}"
         )
+    return sums
 
 
 def gauge_ratio(H, A, z: complex, system: EigenSystem | None = None) -> ZetaRatioSample:
     """Regularized ground-state expectation of A in the gauge H^z.
 
     ``system`` may carry a precomputed eigendecomposition of H so that
-    scans over many z points factorize H only once.  With c = V^dagger psi
-    and d = V^dagger A psi the ratio is sum_j conj(c_j) lambda_j^z d_j /
-    sum_j |c_j|^2 lambda_j^z.  Computed c is e_0 plus rounding, so term
-    j > 0 of the numerator is rounding of size |c_j| |d_j|, against the
-    scale |c_0| ||d|| (>= |c_0 d_0|, and nonzero when the expectation is),
-    and of the denominator rounding of size |c_j|^2 against |c_0|^2.  The
-    ratio's relative rounding is at most the sum of the two, and
-    SingularFunctionValue is raised when lambda^z lifts it above 1e-9.
-    DenominatorNearZero is raised for |denominator| < 1e-10, the floor
-    ``denominator_zero_scan`` reports.
+    scans over many z points factorize H only once.  The ratio is
+    sum_j conj(c_j) lambda_j^z d_j / sum_j |c_j|^2 lambda_j^z with
+    c = V^dagger psi and d = V^dagger A psi.  SingularFunctionValue is
+    raised where lambda^z lifts the rounding in c above 1e-9 of either sum
+    (``_ground_sums``), DenominatorNearZero for |denominator| < 1e-10,
+    the floor ``denominator_zero_scan`` reports.
     """
     A = np.asarray(A, dtype=complex)
     if system is None:
@@ -133,13 +143,7 @@ def gauge_ratio(H, A, z: complex, system: EigenSystem | None = None) -> ZetaRati
     if A.shape != (system.dim, system.dim):
         raise DimensionMismatch(f"operator {A.shape} vs Hamiltonian dim {system.dim}")
     z = complex(z)
-    psi, c = _ground_coefficients(system)
-    d = ((A @ psi).conj() @ system.vectors).conj()
-    c_rel, d_norm = np.abs(c / c[0]), np.linalg.norm(d)
-    d_rel = np.abs(d) / d_norm if d_norm else 0.0  # d = 0 makes the numerator exactly 0
-    _check_amplification(system.eigenvalues, [z], c_rel * (c_rel + d_rel))
-    weights = np.stack([c.conj() * d, np.abs(c) ** 2], axis=1)
-    num, den = map(complex, _spectral_sums(system.eigenvalues, [z], weights)[0])
+    num, den = map(complex, _ground_sums(system, [z], A)[0])
     if abs(den) < _DENOMINATOR_FLOOR:
         raise DenominatorNearZero(f"|denominator| = {abs(den):.3e} at z = {z}")
     return ZetaRatioSample(z=z, numerator=num, denominator=den, ratio=num / den)
@@ -185,15 +189,12 @@ def ratio_convergence_scan(build_h, build_a, grid: ZGrid, n_list) -> dict:
 
 
 def damped_trace_ratio(
-    H, A, z: complex, T, eps: float, system: EigenSystem | None = None
-) -> complex | np.ndarray:
+    H, A, z: complex, T: float, eps: float, system: EigenSystem | None = None
+) -> complex:
     """Trace form of the ratio with damped evolution exp(-i(1-i*eps)TH).
 
     The damping suppresses every excited level by exp(-eps*T*gap), so for
-    eps*T large the value approaches the ground-state gauge ratio.  ``T``
-    may be a 1-d array of times: diag(V^dagger A V) is formed once and all
-    times are evaluated in one spectral sum, returning one ratio per time.
-    A scalar ``T`` returns one complex.
+    eps*T large the value approaches the ground-state gauge ratio.
     """
     if eps < 0:
         raise ValueError(f"damping eps must be non-negative, got {eps}")
@@ -202,27 +203,19 @@ def damped_trace_ratio(
         system = eig_hermitian(H)
     if A.shape != (system.dim, system.dim):
         raise DimensionMismatch(f"operator {A.shape} vs Hamiltonian dim {system.dim}")
-    z = complex(z)
-    _ground_state(system)  # positivity check
+    z, T = complex(z), float(T)
     lam, V = system.eigenvalues, system.vectors
-    Ts = np.atleast_1d(np.asarray(T, dtype=float))
-    if Ts.ndim != 1:
-        raise ValueError(f"T must be a scalar or a 1-d array, got shape {Ts.shape}")
     # Work in the eigenbasis and pull the common ground-state evolution
     # factor out of both traces; it cancels exactly in the ratio and
     # keeps the terms representable for arbitrarily large eps*T.
-    tau = np.exp(np.outer(lam - lam[0], -1j * (1.0 - 1j * eps) * Ts))
+    tau = np.exp((lam - lam[0]) * (-1j * (1.0 - 1j * eps) * T))
     diag_a = (V.conj() * (A @ V)).sum(axis=0)
     # the sum at Re z over |tau| is the scale sum_j |tau_j lambda_j^z|
-    sums = _spectral_sums(lam, [z, z.real], np.hstack([diag_a[:, None] * tau, tau, np.abs(tau)]))
-    m = Ts.size
-    num, den, scale = sums[0, :m], sums[0, m : 2 * m], sums[1, 2 * m :].real
-    small = np.flatnonzero(np.abs(den) < 1e-12 * scale)
-    if small.size:
-        i = small[0]
-        raise DenominatorNearZero(f"|trace denominator| = {abs(den[i]):.3e} at T = {Ts[i]}")
-    ratios = num / den
-    return ratios if np.ndim(T) else complex(ratios[0])
+    sums = _spectral_sums(lam, [z, z.real], np.stack([diag_a * tau, tau, np.abs(tau)], axis=1))
+    num, den, scale = sums[0, 0], sums[0, 1], sums[1, 2].real
+    if abs(den) < 1e-12 * scale:
+        raise DenominatorNearZero(f"|trace denominator| = {abs(den):.3e} at T = {T}")
+    return complex(num / den)
 
 
 def denominator_zero_scan(H, grid: ZGrid, system: EigenSystem | None = None) -> np.ndarray:
@@ -231,14 +224,12 @@ def denominator_zero_scan(H, grid: ZGrid, system: EigenSystem | None = None) -> 
     Evaluated through the spectral sum sum_j |<v_j, psi>|^2 lambda_j^z,
     which is the same quantity gauge_ratio divides by.  Returns the
     subset of grid points with |denominator| < 1e-10, the floor below
-    which gauge_ratio raises DenominatorNearZero; raises
-    SingularFunctionValue, naming the first such z, when a denominator
-    is not finite or is amplified rounding (large Re z; the denominator
-    part of gauge_ratio's guard).
+    which gauge_ratio raises DenominatorNearZero.  Raises
+    SingularFunctionValue naming the first z whose denominator is not
+    finite, or else the first whose denominator is amplified rounding
+    (large Re z; the denominator part of gauge_ratio's guard).
     """
     if system is None:
         system = eig_hermitian(H)
-    _, c = _ground_coefficients(system)
-    _check_amplification(system.eigenvalues, grid.points, np.abs(c / c[0]) ** 2)
-    den = _spectral_sums(system.eigenvalues, grid.points, np.abs(c)[:, None] ** 2)[:, 0]
+    den = _ground_sums(system, grid.points)[:, 0]
     return grid.points[np.abs(den) < _DENOMINATOR_FLOOR]

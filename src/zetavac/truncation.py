@@ -45,7 +45,6 @@ __all__ = [
     "DiscretizedVacuum",
     "project_operator",
     "vacuum_state",
-    "zero_pad",
     "strong_convergence_probe",
     "schatten_convergence_probe",
 ]
@@ -238,16 +237,6 @@ def vacuum_state(H) -> DiscretizedVacuum:
     return DiscretizedVacuum(n, energy, state, float(residual), it)
 
 
-def zero_pad(x, n: int) -> np.ndarray:
-    """Embed coefficients into a larger nested basis by zero-padding."""
-    x = np.asarray(x, dtype=complex)
-    if n < x.shape[0]:
-        raise DimensionMismatch(f"cannot pad length {x.shape[0]} down to {n}")
-    out = np.zeros(n, dtype=complex)
-    out[: x.shape[0]] = x
-    return out
-
-
 def _check_probe_sizes(n_list: list, n_ref: int) -> None:
     """Every probed size at least 1, as in ``mode_list``, and within half the reference grid."""
     if min(n_list) < 1:
@@ -262,9 +251,10 @@ def strong_convergence_probe(A, x, n_list) -> np.ndarray:
     """Residuals of truncated operator application against a reference grid.
 
     For each ``n`` the probe computes ``|| A_ref x - pad(A_n x_n) ||_2``
-    where ``A_n`` and ``x_n`` are the leading ``n``-blocks and ``A`` is a
-    matrix on the grid of ``x``.  The reference grid must be at least
-    twice the largest probed size.
+    where ``A_n`` and ``x_n`` are the leading ``n``-blocks, ``pad`` fills
+    the entries past ``n`` with zeros and ``A`` is a matrix on the grid of
+    ``x``.  The reference grid must be at least twice the largest probed
+    size.
     """
     x = np.asarray(x, dtype=complex)
     n_ref = x.shape[0]
@@ -276,19 +266,18 @@ def strong_convergence_probe(A, x, n_list) -> np.ndarray:
     ref = A @ x
     out = np.empty(len(n_list))
     for i, n in enumerate(n_list):
-        approx = zero_pad(A[:n, :n] @ x[:n], n_ref)
-        out[i] = np.linalg.norm(ref - approx)
+        r = ref.copy()  # past n the residual is ref - 0
+        r[:n] -= A[:n, :n] @ x[:n]
+        out[i] = np.linalg.norm(r)
     return out
 
 
-def schatten_convergence_probe(
-    element, weight: SobolevWeight, n_list, n_ref: int | None = None
-) -> np.ndarray:
+def schatten_convergence_probe(element, weight: SobolevWeight, n_list, n_ref: int) -> np.ndarray:
     """Trace-norm residuals of truncation on a Sobolev-weighted operator.
 
     ``element`` is a matrix-element function, made Hermitian on the
-    reference grid (``n_ref``, by default twice the largest probed size)
-    by ``project_operator``.  The operator is symmetrically scaled by
+    reference grid of size ``n_ref`` (at least twice the largest probed
+    size) by ``project_operator``.  The operator is symmetrically scaled by
     ``(1 + k^2)^(-s/2)`` on both sides, which for the identity element and
     s=1 reproduces the diagonal ``1/(1 + k^2)``.  Residuals are nuclear
     norms of the difference between the reference operator and its
@@ -299,8 +288,6 @@ def schatten_convergence_probe(
     half the cost.
     """
     n_list = list(n_list)
-    if n_ref is None:
-        n_ref = 2 * max(n_list)
     _check_probe_sizes(n_list, n_ref)
     half = weight.values(mode_list(n_ref)) ** -0.5
     A_w = half[:, None] * project_operator(element, n_ref) * half[None, :]

@@ -62,7 +62,7 @@ class TestParseConfigText:
         assert self.effective_config(tmp_path, capsys, monkeypatch, "n_list = []")["n_list"] == []
 
     def test_comments_sections_and_blanks_skipped(self, tmp_path, capsys, monkeypatch):
-        cfg = self.effective_config(tmp_path, capsys, monkeypatch, "# a comment\n\n[zeta]\nz_re_points = 1\n")
+        cfg = self.effective_config(tmp_path, capsys, monkeypatch, "# a comment\n\n[zeta]  # section\nz_re_points = 1\n")
         assert cfg == dict(cli._DEFAULTS["zeta"], z_re_points=1, seed=0)
 
     def test_inline_comment_stripped(self, tmp_path, capsys, monkeypatch):
@@ -71,6 +71,13 @@ class TestParseConfigText:
 
     def test_hash_inside_quotes_preserved(self, tmp_path, capsys, monkeypatch):
         assert self.effective_config(tmp_path, capsys, monkeypatch, 'observable = "a#b"')["observable"] == "a#b"
+
+    def test_comment_after_list_or_closing_quote(self, tmp_path, capsys, monkeypatch):
+        text = 'n_list = [8, 16]  # sizes\nobservable = "position"  # x'
+        cfg = self.effective_config(tmp_path, capsys, monkeypatch, text)
+        assert (cfg["n_list"], cfg["observable"]) == ([8, 16], "position")
+        cfg = self.effective_config(tmp_path, capsys, monkeypatch, 'mode = "qubits" # q', "hydrogen-convergence")
+        assert cfg["mode"] == "qubits"
 
     def test_unquoted_string_accepted(self, tmp_path, capsys, monkeypatch):
         cfg = self.effective_config(tmp_path, capsys, monkeypatch, "mode = qubits", "hydrogen-convergence")
@@ -417,6 +424,19 @@ class TestVqeCommand:
         assert {"sampled", "stderr"} <= row.keys()
         assert abs(row["sampled"] - row["vqe"]) <= 5.0 * row["stderr"] + 1e-9
 
+    def test_failed_sampling_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise FloatingPointError("sampling failed")
+
+        monkeypatch.setattr(cli, "sampled_energy", fail)
+        out = tmp_path / "new"
+        code, _, err = run_cli(
+            ["vqe", "--out", str(out), "--set", "q_max=1", "--set", "layers=2", "--set", "shots=4000"],
+            capsys,
+        )
+        assert code == 3 and "sampling failed" in err
+        assert not out.exists()
+
     def test_qubit_guard_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["vqe", "--out", str(tmp_path), "--set", "q_max=13"], capsys
@@ -545,11 +565,14 @@ class TestZetaCommand:
         assert "SingularFunctionValue" in err and "z = (5+0j)" in err
 
     def test_bad_observable_exits_2(self, tmp_path, capsys):
+        # a range error raised inside the subcommand creates no output directory
+        out = tmp_path / "new"
         code, _, _ = run_cli(
-            ["zeta", "--out", str(tmp_path), "--set", "observable=momentum"] + self.SMALL,
+            ["zeta", "--out", str(out), "--set", "observable=momentum"] + self.SMALL,
             capsys,
         )
         assert code == 2
+        assert not out.exists()
 
     def test_repeated_z_points_exit_2(self, tmp_path, capsys):
         # z_re_min == z_re_max with three points repeats every z: a grid
@@ -564,13 +587,14 @@ class TestZetaCommand:
 
     def test_divergent_fock_series_exits_3(self, tmp_path, capsys):
         # the series are evaluated before any file is written, so the
-        # failed run leaves no partial output behind
+        # failed run leaves no partial output behind, not even its directory
+        out = tmp_path / "new"
         code, _, err = run_cli(
-            ["zeta", "--out", str(tmp_path), "--set", "fock_t=2.0"] + self.SMALL, capsys
+            ["zeta", "--out", str(out), "--set", "fock_t=2.0"] + self.SMALL, capsys
         )
         assert code == 3
         assert "SeriesDivergence" in err
-        assert not list(tmp_path.iterdir())
+        assert not out.exists()
 
 
 class TestPauliExportCommand:
@@ -600,6 +624,12 @@ class TestPauliExportCommand:
             capsys,
         )
         assert code == 0, err
+
+    def test_out_dir_created_at_first_write(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b"
+        code, _, err = run_cli(["pauli-export", "--out", str(out), "--set", "qubits=2"], capsys)
+        assert code == 0, err
+        assert [p.name for p in out.iterdir()] == ["pauli_coefficients.csv"]
 
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

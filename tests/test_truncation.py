@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from scipy.special import digamma, polygamma
 
-from zetavac.errors import DimensionMismatch, GridTooSmall, HermiticityViolation, NonHermitianInput
+from zetavac.errors import GridTooSmall, HermiticityViolation, NonHermitianInput
 from zetavac.models import hydrogen_element, hydrogen_matrix
 from zetavac.truncation import (
     SobolevWeight,
@@ -13,7 +13,6 @@ from zetavac.truncation import (
     schatten_convergence_probe,
     strong_convergence_probe,
     vacuum_state,
-    zero_pad,
 )
 
 from conftest import assert_same_ground_pair, random_hermitian
@@ -153,13 +152,6 @@ def test_vacuum_state_norm_validated():
     v = vacuum_state(hydrogen_matrix(12))
     assert np.linalg.norm(v.state) == pytest.approx(1.0, abs=1e-12)
     assert v.n == 12
-
-
-def test_zero_pad():
-    x = np.array([1.0, 2.0])
-    assert np.array_equal(zero_pad(x, 4), [1.0, 2.0, 0.0, 0.0])
-    with pytest.raises(DimensionMismatch):
-        zero_pad(x, 1)
 
 
 def test_sobolev_weight_values():
@@ -331,7 +323,7 @@ def _with_entry(i, value):
 )
 def test_schatten_probe_rejects_bad_matrix(M):
     with pytest.raises((HermiticityViolation, NonHermitianInput)):
-        schatten_convergence_probe(_element_of(M), SobolevWeight(0.0), [4, 8])
+        schatten_convergence_probe(_element_of(M), SobolevWeight(0.0), [4, 8], n_ref=16)
 
 
 def _identity_element_with(mode, value):
