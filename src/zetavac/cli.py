@@ -17,12 +17,12 @@ import os
 import sys
 
 import numpy as np
-from scipy.special import digamma, polygamma
+from scipy.special import polygamma
 
 from . import __version__
 from .analysis import ConvergenceSeries, fit_exponential_window, relative_errors
 from .errors import DegenerateFit
-from .gauge import ZGrid, gauge_ratio
+from .gauge import ZGrid, ratio_convergence_scan
 from .models import (
     HydrogenParams,
     FreeFieldParams,
@@ -32,7 +32,6 @@ from .models import (
     position_matrix,
 )
 from .pauli import decompose, reconstruct
-from .spectral import eig_hermitian
 from .truncation import (
     SobolevWeight,
     index_of_mode,
@@ -194,33 +193,30 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _create(path, **kwargs):
-    """Open ``path`` for writing, creating its directory.
+def _write_outputs(out_dir, cfg: dict, files: dict) -> None:
+    """Write a run's files, named by the keys of ``files``, into ``out_dir``.
 
-    The output directory is made here, at a run's first write, so a run
-    that fails before it writes leaves none behind.
+    The suffix picks the format: ``.csv`` takes (columns, rows) under a
+    header block, ``.json`` a payload stamped with the config hash and
+    package version, ``.jsonl`` rows only, one JSON object a line.  Each
+    command calls this once, after its last computation, and the output
+    directory is made here, so a run that fails leaves nothing behind.
     """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return open(path, "w", **kwargs)
-
-
-def _write_csv(path, cfg_hash, columns, rows):
-    with _create(path, newline="") as fh:
-        fh.write(f"# config_hash: {cfg_hash}\n")
-        fh.write(f"# version: {__version__}\n")
-        w = csv.writer(fh)
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
-def _write_json(path, cfg_hash, payload: dict):
-    payload = dict(payload)
-    payload["config_hash"] = cfg_hash
-    payload["version"] = __version__
-    with _create(path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    cfg_hash = _config_hash(cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, content in files.items():
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
+            if name.endswith(".csv"):
+                columns, rows = content
+                fh.write(f"# config_hash: {cfg_hash}\n# version: {__version__}\n")
+                w = csv.writer(fh)
+                w.writerow(columns)
+                w.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+            elif name.endswith(".jsonl"):
+                fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in content)
+            else:
+                json.dump(dict(content, config_hash=cfg_hash, version=__version__), fh, sort_keys=True, indent=2)
+                fh.write("\n")
 
 
 # --check bound on every vacuum's ||H psi - E psi||_2 / max|H|.  The solver
@@ -252,13 +248,6 @@ def cmd_hydrogen_convergence(cfg, out_dir, check) -> int:
     reference = vacua[-1].energy
     series = ConvergenceSeries(np.array(abscissa), np.array(energies), reference)
     errs = relative_errors(series)
-    cfg_hash = _config_hash(cfg)
-    _write_csv(
-        os.path.join(out_dir, "convergence.csv"),
-        cfg_hash,
-        ["abscissa", "energy", "rel_error"],
-        [(a, float(e), float(r)) for a, e, r in zip(abscissa, energies, errs)],
-    )
     worst = max(vacua, key=lambda v: v.residual)
     slowest = max(vacua, key=lambda v: v.iterations)
     fit_payload = {
@@ -281,7 +270,13 @@ def cmd_hydrogen_convergence(cfg, out_dir, check) -> int:
     except DegenerateFit as exc:
         print(f"warning: fit skipped ({exc})", file=sys.stderr)
         fit = None
-    _write_json(os.path.join(out_dir, "fit.json"), cfg_hash, fit_payload)
+    _write_outputs(out_dir, cfg, {
+        "convergence.csv": (
+            ["abscissa", "energy", "rel_error"],
+            [(a, float(e), float(r)) for a, e, r in zip(abscissa, energies, errs)],
+        ),
+        "fit.json": fit_payload,
+    })
     if check:
         if worst.residual > _VACUUM_RESIDUAL_BOUND:
             raise CheckFailure(
@@ -313,7 +308,6 @@ def cmd_vqe(cfg, out_dir, check) -> int:
         coeff_list.append(decompose(H))
         exact.append(vacuum_state(H).energy)
     results = warm_started_chain(coeff_list, cfg["layers"], opt, restarts=cfg["restarts"])
-    cfg_hash = _config_hash(cfg)
     rows = []
     for Q, res, e0 in zip(range(1, cfg["q_max"] + 1), results, exact):
         row = {"qubits": Q, "exact": e0, "vqe": res.energy, "deviation": res.energy - e0,
@@ -325,12 +319,10 @@ def cmd_vqe(cfg, out_dir, check) -> int:
             row["sampled"] = est
             row["stderr"] = err
         rows.append(row)
-    # every stage, sampling included, has run before the first file is opened
-    with _create(os.path.join(out_dir, "iterations.jsonl")) as fh:
-        for Q, res in zip(range(1, cfg["q_max"] + 1), results):
-            for entry in res.trace:
-                fh.write(json.dumps(dict(entry, qubits=Q), sort_keys=True) + "\n")
-    _write_json(os.path.join(out_dir, "vqe_results.json"), cfg_hash, {"rows": rows})
+    _write_outputs(out_dir, cfg, {
+        "iterations.jsonl": [dict(entry, qubits=Q) for Q, res in enumerate(results, 1) for entry in res.trace],
+        "vqe_results.json": {"rows": rows},
+    })
     if check:
         bad = [r for r in rows if abs(r["deviation"]) > 1e-6]
         if bad:
@@ -344,45 +336,33 @@ def cmd_vqe(cfg, out_dir, check) -> int:
 
 
 def cmd_zeta(cfg, out_dir, check) -> int:
-    if not cfg["n_list"] or min(cfg["n_list"] + [cfg["z_re_points"], cfg["z_im_points"]]) < 1:
+    n_list = cfg["n_list"]
+    if not n_list or min(n_list + [cfg["z_re_points"], cfg["z_im_points"]]) < 1:
         raise ConfigError("n_list must be non-empty and every size and point count at least 1")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError(f"n_list must be strictly increasing, got {n_list}")
     if cfg["ff_z_points"] < 1 or cfg["ff_n_max"] < 1 or len(cfg["ff_t_list"]) < 2:
         # the identity check needs a z point, the slope fit two times
         raise ConfigError("need ff_z_points >= 1, ff_n_max >= 1 and at least two ff_t_list values")
     if min(cfg["ff_t_list"]) <= 0 or cfg["fock_t"] <= 0 or cfg["fock_cutoff"] < 10:
         raise ConfigError("need positive ff_t_list values and fock_t, and fock_cutoff >= 10")
     params = _hydrogen_params(cfg)
+    observables = {"hamiltonian": lambda n: hydrogen_matrix(n, params), "position": position_matrix}
+    if cfg["observable"] not in observables:
+        raise ConfigError(f"observable must be hamiltonian or position, got {cfg['observable']!r}")
     z_re = np.linspace(cfg["z_re_min"], cfg["z_re_max"], cfg["z_re_points"])
     z_im = np.linspace(cfg["z_im_min"], cfg["z_im_max"], cfg["z_im_points"])
     try:
         grid = ZGrid(np.array([re + 1j * im for re in z_re for im in z_im]))
     except ValueError as exc:  # repeated points come from the grid keys
         raise ConfigError(f"z grid: {exc}") from exc
-    cfg_hash = _config_hash(cfg)
-
-    rows, off_identity = [], []
-    for n in cfg["n_list"]:
-        H = hydrogen_matrix(n, params)
-        if cfg["observable"] == "hamiltonian":
-            A = H
-        elif cfg["observable"] == "position":
-            A = position_matrix(n)
-        else:
-            raise ConfigError(f"observable must be hamiltonian or position, got {cfg['observable']!r}")
-        system = eig_hermitian(H)
-        psi = system.vectors[:, 0]
-        direct = complex(np.vdot(psi, A @ psi))
-        for z in grid.points:
-            try:
-                s = gauge_ratio(H, A, z, system=system)
-                if abs(s.ratio - direct) > 1e-9 * abs(direct):
-                    off_identity.append((n, complex(z)))
-                rows.append(
-                    (n, float(z.real), float(z.imag), float(s.ratio.real),
-                     float(s.ratio.imag), float(abs(s.denominator)), 0)
-                )
-            except ArithmeticError:
-                rows.append((n, float(z.real), float(z.imag), float("nan"), float("nan"), 0.0, 1))
+    scan = ratio_convergence_scan(observables["hamiltonian"], observables[cfg["observable"]], grid, n_list)
+    rows = []
+    for n, ratio_row, den_row in zip(n_list, scan["ratios"], scan["denominators"]):
+        for z, r, d in zip(grid.points, ratio_row, den_row):
+            collapsed = bool(np.isnan(r))  # the denominator collapsed at this size
+            rows.append((n, float(z.real), float(z.imag), float(r.real), float(r.imag),
+                         0.0 if collapsed else float(abs(d)), int(collapsed)))
 
     # Free-field closed form: identity against N*(z+3)/(iT), T-scaling slope.
     z_grid = np.linspace(-2.5, 2.2, cfg["ff_z_points"])
@@ -412,18 +392,18 @@ def cmd_zeta(cfg, out_dir, check) -> int:
             "tail_error_bound": fock_diag["ratio_error_bound"],
         },
     }
-    # both files are written only once every series has been evaluated
-    _write_csv(
-        os.path.join(out_dir, "zeta_grid.csv"),
-        cfg_hash,
-        ["n", "z_re", "z_im", "ratio_re", "ratio_im", "denom_abs", "excluded"],
-        rows,
-    )
-    _write_json(os.path.join(out_dir, "freefield.json"), cfg_hash, payload)
+    _write_outputs(out_dir, cfg, {
+        "zeta_grid.csv": (["n", "z_re", "z_im", "ratio_re", "ratio_im", "denom_abs", "excluded"], rows),
+        "freefield.json": payload,
+    })
     if check:
-        if off_identity:
-            n, z = off_identity[0]
-            raise CheckFailure(f"R(z) differs from <psi, A psi> by more than 1e-9 at n={n}, z={z}")
+        direct = scan["expectations"][:, None]
+        off_identity = np.argwhere(np.abs(scan["ratios"] - direct) > 1e-9 * np.abs(direct))
+        if off_identity.size:
+            i, j = off_identity[0]
+            raise CheckFailure(
+                f"R(z) differs from <psi, A psi> by more than 1e-9 at n={n_list[i]}, z={complex(grid.points[j])}"
+            )
         if max_rel > 1e-12:
             raise CheckFailure(f"free-field identity error {max_rel:.3e} above 1e-12")
         if abs(slope + 1.0) > 0.01:
@@ -442,16 +422,10 @@ def cmd_pauli_export(cfg, out_dir, check) -> int:
         raise ConfigError(f"qubits must be at least 1, got {Q}")
     H = hydrogen_matrix(1 << Q, params)
     c = decompose(H)
-    cfg_hash = _config_hash(cfg)
     # product counts in base 4, most significant digit first: the word index order
     labels = ("".join(digits) for digits in itertools.product("0123", repeat=Q))
     rows = [(q, label, coeff) for q, (label, coeff) in enumerate(zip(labels, c.coeffs.tolist()))]
-    _write_csv(
-        os.path.join(out_dir, "pauli_coefficients.csv"),
-        cfg_hash,
-        ["q_index", "base4_word", "coefficient"],
-        rows,
-    )
+    _write_outputs(out_dir, cfg, {"pauli_coefficients.csv": (["q_index", "base4_word", "coefficient"], rows)})
     if check:
         scale = np.abs(H).max()
         err = np.abs(reconstruct(c) - H).max()
@@ -467,22 +441,17 @@ def _smooth_probe(n: int) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _mode_tail_oracle(n: int, n_ref: int) -> float:
-    """sum of 1/(1+k^2) over modes at ordered positions n..n_ref-1.
+def _mode_tail_oracle(n: int, n_ref: int, s: float) -> float:
+    """sum of (1+k^2)^-s over modes at ordered positions n..n_ref-1.
 
-    Uses the partial-fraction digamma identity
-    sum_{m=a}^{b} 1/(1+m^2) = Im[psi(a+i) - psi(b+1+i)]
-    on the positive and negative mode ranges separately.
+    Summed directly over the integer magnitudes m of the positive and the
+    negative mode ranges, without the mode ordering or the probe's weight.
     """
     ranges = (
         ((n + 1) // 2, (n_ref - 1) // 2),  # positive modes
         ((n + 2) // 2, n_ref // 2),  # magnitudes of negative modes
     )
-    total = 0.0
-    for a, b in ranges:
-        if b >= a:
-            total += float((digamma(a + 1j) - digamma(b + 1 + 1j)).imag)
-    return total
+    return sum(float(((1.0 + np.arange(a, b + 1.0) ** 2) ** -s).sum()) for a, b in ranges)
 
 
 def cmd_lemma_probes(cfg, out_dir, check) -> int:
@@ -508,9 +477,8 @@ def cmd_lemma_probes(cfg, out_dir, check) -> int:
     weight = SobolevWeight(cfg["sobolev_s"])
     sob = schatten_convergence_probe(id_element, weight, n_list, n_ref=n_ref)
     invsq = schatten_convergence_probe(invsq_element, SobolevWeight(0.0), n_list, n_ref=n_ref)
-    sob_oracle = np.array([_mode_tail_oracle(n, n_ref) for n in n_list])
+    sob_oracle = np.array([_mode_tail_oracle(n, n_ref, cfg["sobolev_s"]) for n in n_list])
     invsq_oracle = polygamma(1, np.array(n_list) + 1.0) - polygamma(1, n_ref + 1.0)
-    cfg_hash = _config_hash(cfg)
     payload = {
         "n": n_list,
         "n_ref": n_ref,
@@ -526,7 +494,7 @@ def cmd_lemma_probes(cfg, out_dir, check) -> int:
             "max_abs_err": float(np.abs(invsq - invsq_oracle).max()),
         },
     }
-    _write_json(os.path.join(out_dir, "probes.json"), cfg_hash, payload)
+    _write_outputs(out_dir, cfg, {"probes.json": payload})
     if check:
         for name, r in strong.items():
             if np.any(np.diff(r) >= 0):
@@ -553,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="key = value config file")
-        sp.add_argument("--out", default=".", help="output directory, created at the first write")
+        sp.add_argument("--out", default=".", help="output directory, created when the run writes its files")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--check", action="store_true", help="verify acceptance thresholds")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")

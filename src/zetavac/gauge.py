@@ -2,8 +2,8 @@
 
 Everything here evaluates variants of <psi, H^z A psi> / <psi, H^z psi>
 on finite grids: the pointwise ratio, a sweep over grid sizes that masks
-collapsed denominators, the time-damped trace version, and a scan for
-zeros of the denominator.
+a collapsed denominator at its size, the time-damped trace version, and a
+scan for zeros of the denominator.
 No H^z is formed: each value, each scale and the rounding guard is a
 spectral sum sum_j lambda_j^z w_j in the eigenbasis of H, evaluated by
 one function, ``_spectral_sums``, for all of them.
@@ -153,38 +153,43 @@ def ratio_convergence_scan(build_h, build_a, grid: ZGrid, n_list) -> dict:
     """Gauge ratios across grid sizes with consecutive-size residuals.
 
     ``build_h(n)`` and ``build_a(n)`` return the size-``n`` matrices of H
-    and A.  Points of the grid where the denominator collapses at any
-    size are flagged in the returned ``excluded`` mask, and their ratios
-    set to NaN, instead of aborting the sweep.
+    and A, for one or more strictly increasing sizes ``n_list``.  Where
+    the denominator collapses (DenominatorNearZero) the ratio and the
+    denominator at that size are NaN, instead of aborting the sweep; the
+    point's other sizes keep their values.
 
-    Returns a dict with keys ``n`` (sizes), ``z`` (points), ``ratios``
-    (len(n) x len(z) complex), ``residuals`` (len(n)-1 x len(z) absolute
-    consecutive differences) and ``excluded``.
+    Returns a dict with keys ``n`` (sizes), ``z`` (points), ``ratios`` and
+    ``denominators`` (len(n) x len(z) complex), ``expectations``
+    (<psi_n, A_n psi_n> per size, psi_n the ground state of H_n),
+    ``residuals`` (len(n)-1 x len(z) absolute consecutive differences)
+    and ``excluded`` (the points collapsed at any size).
     """
     n_list = list(n_list)
-    if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("need at least 3 strictly increasing grid sizes")
+    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"need one or more strictly increasing grid sizes, got {n_list}")
     pts = grid.points
-    ratios = np.full((len(n_list), pts.size), np.nan + 0j)
-    excluded = np.zeros(pts.size, dtype=bool)
+    ratios = np.full((len(n_list), pts.size), complex(np.nan, np.nan))
+    denominators = ratios.copy()
+    expectations = np.empty(len(n_list), dtype=complex)
     for i, n in enumerate(n_list):
         H, A = build_h(n), build_a(n)
         system = eig_hermitian(H)
+        psi = system.vectors[:, 0]
+        expectations[i] = np.vdot(psi, A @ psi)
         for j, z in enumerate(pts):
-            if excluded[j]:
-                continue
             try:
-                ratios[i, j] = gauge_ratio(H, A, z, system=system).ratio
+                s = gauge_ratio(H, A, z, system=system)
             except DenominatorNearZero:
-                excluded[j] = True
-                ratios[:, j] = np.nan + 0j
-    residuals = np.abs(np.diff(ratios, axis=0))
+                continue
+            ratios[i, j], denominators[i, j] = s.ratio, s.denominator
     return {
         "n": np.array(n_list),
         "z": pts,
         "ratios": ratios,
-        "residuals": residuals,
-        "excluded": excluded,
+        "denominators": denominators,
+        "expectations": expectations,
+        "residuals": np.abs(np.diff(ratios, axis=0)),
+        "excluded": np.isnan(ratios).any(axis=0),
     }
 
 

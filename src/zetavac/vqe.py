@@ -305,13 +305,10 @@ def warm_start_embed(params, spec_from: AnsatzSpec, spec_to: AnsatzSpec) -> np.n
     params = np.asarray(params, dtype=float)
     if params.shape != (spec_from.n_params,):
         raise ParamLengthMismatch(f"params {params.shape} vs ({spec_from.n_params},)")
-    out = np.zeros(spec_to.n_params)
-    for layer in range(spec_from.layers + 1):
-        for q in range(spec_from.qubits):
-            src = 2 * (layer * spec_from.qubits + q)
-            dst = 2 * (layer * spec_to.qubits + q)
-            out[dst : dst + 2] = params[src : src + 2]
-    return out
+    L, Q = spec_from.layers, spec_from.qubits
+    out = np.zeros((L + 1, Q + 1, 2))
+    out[:, :Q] = params.reshape(L + 1, Q, 2)
+    return out.ravel()
 
 
 def warm_started_chain(coeff_list, layers: int, cfg: OptimizerConfig, restarts: int = 5):

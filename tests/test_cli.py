@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from zetavac import __version__, cli
+from zetavac import __version__, cli, gauge
 from zetavac.cli import build_parser, main
 from zetavac.models import HydrogenParams, hydrogen_matrix
 from zetavac.pauli import decompose
@@ -178,6 +178,9 @@ class TestConfigHandling:
             ["zeta", "--set", "fock_cutoff=5"],
             ["zeta", "--set", "fock_t=-1"],
             ["zeta", "--set", "ff_t_list=[-1.0, 10.0]"],
+            # the size sweep and its residuals need strictly increasing sizes
+            ["zeta", "--set", "n_list=[16, 8]"],
+            ["zeta", "--set", "n_list=[8, 8]"],
         ],
     )
     def test_out_of_range_size_exits_2(self, tmp_path, capsys, argv):
@@ -528,6 +531,27 @@ class TestZetaCommand:
         assert len(values) == 4
         assert np.ptp(values) < 1e-9
 
+    def test_collapsed_denominator_excludes_only_its_size(self, tmp_path, capsys):
+        # at q = 100, m = 0.01 the ground energy is about 39.2 at n = 2 and
+        # 22.3-22.9 at n >= 4, so lambda_0^Re z falls below the 1e-10 floor
+        # from Re z = -7 down at n = 2, but only from Re z = -7.5 down at n >= 4
+        code, _, err = run_cli(
+            ["zeta", "--out", str(tmp_path),
+               "--set", "q=100.0", "--set", "m=0.01", "--set", "z_re_min=-8.5",
+               "--set", "z_re_max=-6", "--set", "z_re_points=6", "--set", "z_im_points=1",
+               "--set", "n_list=[2, 4, 8, 16]"],
+            capsys,
+        )
+        assert code == 0, err
+        _, _, rows = read_headed_csv(tmp_path / "zeta_grid.csv")
+        assert len(rows) == 24
+        collapsed = {(n, x) for n in (2, 4, 8, 16) for x in (-8.5, -8.0, -7.5)} | {(2, -7.0), (2, -6.5)}
+        for r in rows:
+            if (int(r[0]), float(r[1])) in collapsed:
+                assert r[3:] == ["nan", "nan", "0.0", "1"]
+            else:
+                assert r[6] == "0" and np.isfinite(float(r[3])) and float(r[5]) >= 1e-10
+
     def test_position_observable(self, tmp_path, capsys):
         code, _, _ = run_cli(
             ["zeta", "--out", str(tmp_path), "--set", "observable=position"] + self.SMALL,
@@ -540,14 +564,14 @@ class TestZetaCommand:
         assert code == 0
 
     def test_check_fails_when_ratio_leaves_expectation(self, tmp_path, capsys, monkeypatch):
-        ratio = cli.gauge_ratio
+        ratio = gauge.gauge_ratio
 
         def perturbed(*args, **kwargs):
             s = ratio(*args, **kwargs)
             scale = 1.0 + 1e-6
             return dataclasses.replace(s, numerator=s.numerator * scale, ratio=s.ratio * scale)
 
-        monkeypatch.setattr(cli, "gauge_ratio", perturbed)
+        monkeypatch.setattr(gauge, "gauge_ratio", perturbed)
         code, _, err = run_cli(["zeta", "--out", str(tmp_path), "--check"] + self.SMALL, capsys)
         assert code == 4
         assert "differs from <psi, A psi> by more than 1e-9" in err
@@ -656,6 +680,18 @@ class TestLemmaProbesCommand:
             assert all(b < a for a, b in zip(residuals, residuals[1:]))
         assert payload["schatten_sobolev"]["max_abs_err"] <= 1e-10
         assert payload["schatten_inverse_squares"]["max_abs_err"] <= 1e-10
+
+    def test_sobolev_oracle_follows_the_exponent(self, tmp_path, capsys):
+        # the tail oracle sums (1+k^2)^-s, so s = 2 is checked against s = 2
+        code, _, err = run_cli(
+            [
+                "lemma-probes", "--out", str(tmp_path), "--check",
+                "--set", "n_ref=64", "--set", "n_list=[8, 16, 32]", "--set", "sobolev_s=2.0",
+            ],
+            capsys,
+        )
+        assert code == 0, err
+        assert read_json(tmp_path / "probes.json")["schatten_sobolev"]["max_abs_err"] <= 1e-15
 
 
 class TestParserBasics:

@@ -240,12 +240,30 @@ class TestRatioConvergenceScan:
         assert np.isnan(out["ratios"][:, 1]).all()
         assert np.isfinite(out["ratios"][:, 0]).all()
 
-    def test_needs_three_increasing_sizes(self):
+    def test_collapse_masks_only_its_size(self):
+        # the smallest eigenvalue is 1e-13 at n = 3 only, so z = 1 collapses
+        # there and keeps its ratio and denominator at n = 2 and 4
+        def build_h(n):
+            return np.diag(np.r_[1e-13 if n == 3 else 0.5, np.arange(1.0, n)])
+
+        grid = ZGrid(points=[0.0, 1.0])
+        out = ratio_convergence_scan(build_h, np.eye, grid, [2, 3, 4])
+        assert out["excluded"].tolist() == [False, True]
+        assert_allclose(out["ratios"][[0, 2]], 1.0, atol=1e-15)
+        assert_allclose(out["denominators"][[0, 2], 1], 0.5, atol=1e-15)
+        assert np.isnan(out["ratios"][1, 1]) and np.isnan(out["denominators"][1, 1])
+        assert out["ratios"][1, 0] == pytest.approx(1.0, abs=1e-15)
+        assert np.isnan(out["residuals"][:, 1]).all()
+        assert_allclose(out["expectations"], 1.0, atol=1e-15)
+
+    def test_needs_one_or_more_increasing_sizes(self):
         grid = ZGrid(points=[0.0])
-        with pytest.raises(ValueError):
-            ratio_convergence_scan(hydrogen_matrix, hydrogen_matrix, grid, [4, 8])
-        with pytest.raises(ValueError):
-            ratio_convergence_scan(hydrogen_matrix, hydrogen_matrix, grid, [4, 8, 8])
+        for sizes in ([], [4, 8, 8], [8, 4]):
+            with pytest.raises(ValueError):
+                ratio_convergence_scan(hydrogen_matrix, hydrogen_matrix, grid, sizes)
+        out = ratio_convergence_scan(hydrogen_matrix, hydrogen_matrix, grid, [8])
+        assert out["ratios"].shape == (1, 1)
+        assert out["residuals"].shape == (0, 1)
 
 
 class TestDampedTraceRatio:
