@@ -154,8 +154,8 @@ def parse_config_text(text: str) -> dict:
 
 
 def _effective_config(command: str, args) -> dict:
-    cfg = dict(_DEFAULTS[command])
-    cfg["seed"] = 0
+    defaults = dict(_DEFAULTS[command], seed=0)
+    cfg = dict(defaults)
     items = []
     if args.config is not None:
         try:
@@ -170,9 +170,9 @@ def _effective_config(command: str, args) -> dict:
         key, _, val = item.partition("=")
         items.append((key, val, f"--set {key}"))
     for key, val, where in items:
-        if key not in cfg:
+        if key not in defaults:
             raise ConfigError(f"unknown config key {key!r} for {command}")
-        cfg[key] = _parse_value(val, cfg[key], where)
+        cfg[key] = _parse_value(val, defaults[key], where)  # a repeated key too
     if args.seed is not None:
         cfg["seed"] = args.seed
     if cfg["seed"] < 0:  # NumPy seeds only from non-negative integers
@@ -186,6 +186,14 @@ def _hydrogen_params(cfg) -> HydrogenParams:
         return HydrogenParams(m=cfg["m"], q=cfg["q"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _sizes(cfg) -> list:
+    """``n_list`` of ``zeta`` and ``lemma-probes``: non-empty, positive, strictly increasing."""
+    n_list = cfg["n_list"]
+    if not n_list or n_list[0] < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError(f"n_list must be non-empty, positive and strictly increasing, got {n_list}")
+    return n_list
 
 
 def _config_hash(cfg: dict) -> str:
@@ -336,16 +344,12 @@ def cmd_vqe(cfg, out_dir, check) -> int:
 
 
 def cmd_zeta(cfg, out_dir, check) -> int:
-    n_list = cfg["n_list"]
-    if not n_list or min(n_list + [cfg["z_re_points"], cfg["z_im_points"]]) < 1:
-        raise ConfigError("n_list must be non-empty and every size and point count at least 1")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ConfigError(f"n_list must be strictly increasing, got {n_list}")
-    if cfg["ff_z_points"] < 1 or cfg["ff_n_max"] < 1 or len(cfg["ff_t_list"]) < 2:
-        # the identity check needs a z point, the slope fit two times
-        raise ConfigError("need ff_z_points >= 1, ff_n_max >= 1 and at least two ff_t_list values")
-    if min(cfg["ff_t_list"]) <= 0 or cfg["fock_t"] <= 0 or cfg["fock_cutoff"] < 10:
-        raise ConfigError("need positive ff_t_list values and fock_t, and fock_cutoff >= 10")
+    n_list = _sizes(cfg)
+    if min(cfg["z_re_points"], cfg["z_im_points"], cfg["ff_z_points"], cfg["ff_n_max"]) < 1:
+        raise ConfigError("need z_re_points, z_im_points, ff_z_points and ff_n_max at least 1")
+    times = cfg["ff_t_list"]
+    if len(set(times)) < 2 or min(times) <= 0 or cfg["fock_t"] <= 0 or cfg["fock_cutoff"] < 10:
+        raise ConfigError("need two distinct positive ff_t_list times (the slope), fock_t > 0, fock_cutoff >= 10")
     params = _hydrogen_params(cfg)
     observables = {"hamiltonian": lambda n: hydrogen_matrix(n, params), "position": position_matrix}
     if cfg["observable"] not in observables:
@@ -457,9 +461,9 @@ def _mode_tail_oracle(n: int, n_ref: int, s: float) -> float:
 def cmd_lemma_probes(cfg, out_dir, check) -> int:
     params = _hydrogen_params(cfg)
     n_ref = cfg["n_ref"]
-    n_list = list(cfg["n_list"])
-    if not n_list or min(n_list) < 1 or n_ref < 2 * max(n_list):
-        raise ConfigError(f"need positive sizes in n_list and n_ref >= 2 * max(n_list), got n_ref={n_ref}")
+    n_list = _sizes(cfg)
+    if n_ref < 2 * n_list[-1]:
+        raise ConfigError(f"need n_ref >= 2 * max(n_list), got n_ref={n_ref}")
     H = hydrogen_matrix(n_ref, params)
     vac = vacuum_state(H).state
     strong = {
@@ -497,7 +501,8 @@ def cmd_lemma_probes(cfg, out_dir, check) -> int:
     _write_outputs(out_dir, cfg, {"probes.json": payload})
     if check:
         for name, r in strong.items():
-            if np.any(np.diff(r) >= 0):
+            # equal only where both are exactly 0, as every residual is for psi = e_0 (q = 0)
+            if any(b >= a and not a == b == 0.0 for a, b in zip(r, r[1:])):
                 raise CheckFailure(f"strong probe {name} residuals not strictly decreasing")
         for key in ("schatten_sobolev", "schatten_inverse_squares"):
             if payload[key]["max_abs_err"] > 1e-10:

@@ -37,6 +37,10 @@ class SeriesDivergence(ArithmeticError):
     """Partial sums fail the ratio test at the given parameters."""
 
 
+class OutOfFloatRange(ArithmeticError):
+    """A closed-form term overflows or underflows the float range."""
+
+
 class NonPositiveSpectrum(ValueError):
     """An operation required a positive-definite operator."""
 

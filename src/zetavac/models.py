@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .errors import GammaPole, SeriesDivergence
+from .errors import GammaPole, OutOfFloatRange, SeriesDivergence
 from .truncation import mode_list
 
 __all__ = [
@@ -144,15 +144,17 @@ def freefield_zeta_ratio(params: FreeFieldParams) -> complex:
     """Regularized particle-number ratio for the single-mode state.
 
     Evaluates N * Gamma(z+4) * (iT)^(-z-4) / (Gamma(z+3) * (iT)^(-z-3))
-    in log space, which collapses analytically to N*(z+3)/(iT).  Keeping
-    the unsimplified quotient exercises the gamma plumbing that the
-    Fock-space series needs anyway.
+    in log space, which collapses analytically to N*(z+3)/(iT); the
+    unsimplified quotient exercises the gamma plumbing of the Fock series.
+    A term beyond the float range (T near 0 or huge) raises OutOfFloatRange.
     """
     z, T = complex(params.z), params.T
     log_it = math.log(T) + 1j * math.pi / 2.0
-    num = params.N * cmath.exp(log_gamma(z + 4.0) - (z + 4.0) * log_it)
-    den = cmath.exp(log_gamma(z + 3.0) - (z + 3.0) * log_it)
-    return num / den
+    try:
+        num = params.N * cmath.exp(log_gamma(z + 4.0) - (z + 4.0) * log_it)
+        return num / cmath.exp(log_gamma(z + 3.0) - (z + 3.0) * log_it)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise OutOfFloatRange(f"free-field terms at T={T}, z={z}: {exc}") from None
 
 
 def _fock_log_terms(z: complex, T: float, cutoff: int, v: float):
@@ -201,11 +203,11 @@ def fock_zeta_ratio(
     # Geometric tail bound past the cutoff.
     base = math.log(v) + math.log(2.0) - 3.0 * math.log(T)
     step = math.log((cutoff + 1.0) / cutoff)
-    r_num = math.exp(base + max(z.real + 1.0, 0.0) * step)
-    r_den = math.exp(base + max(z.real, 0.0) * step)
+    log_r = (base + max(z.real + 1.0, 0.0) * step, base + max(z.real, 0.0) * step)  # numerator, denominator
+    r_num, r_den = (math.exp(min(lr, 0.0)) for lr in log_r)  # tested in log space: e^lr overflows as T -> 0
     if r_num >= 1.0 or r_den >= 1.0:
         raise SeriesDivergence(
-            f"tail ratio at cutoff {cutoff} is >= 1 (num {r_num:.3f}, den {r_den:.3f})"
+            f"tail ratio at cutoff {cutoff} is >= 1 (log-ratio num {log_r[0]:.3f}, den {log_r[1]:.3f})"
         )
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         num = np.exp(t_num).sum()

@@ -127,6 +127,21 @@ class TestConfigHandling:
         assert code == 2
         assert "config error" in err and "--set n_list: unterminated list" in err
 
+    @pytest.mark.parametrize("first", ["--set", "--config"])
+    def test_repeated_key_parses_against_its_default(self, tmp_path, capsys, first):
+        # z_re_min is a float key: an int literal set first must not make
+        # the later float a type error
+        argv = ["zeta", "--out", str(tmp_path / "out"), "--set", "n_list=[4, 8]", "--set", "z_re_points=1"]
+        if first == "--set":
+            argv += ["--set", "z_re_min=0"]
+        else:
+            (tmp_path / "run.cfg").write_text("z_re_min = 0\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        code, _, err = run_cli(argv + ["--set", "z_re_min=-0.25"], capsys)
+        assert code == 0, err
+        _, _, rows = read_headed_csv(tmp_path / "out" / "zeta_grid.csv")
+        assert {float(r[1]) for r in rows} == {-0.25}
+
     def test_unknown_config_file_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("not_a_knob = 3\n")
@@ -181,6 +196,11 @@ class TestConfigHandling:
             # the size sweep and its residuals need strictly increasing sizes
             ["zeta", "--set", "n_list=[16, 8]"],
             ["zeta", "--set", "n_list=[8, 8]"],
+            ["lemma-probes", "--set", "n_list=[16, 8]"],
+            ["lemma-probes", "--set", "n_list=[8, 8]"],
+            # the T-scaling slope needs two distinct times
+            ["zeta", "--set", "ff_t_list=[10.0, 10.0]"],
+            ["zeta", "--set", "ff_t_list=[1.0, 1.0]"],
         ],
     )
     def test_out_of_range_size_exits_2(self, tmp_path, capsys, argv):
@@ -397,7 +417,7 @@ class TestVqeCommand:
             assert row["iterations"] == len(trace)
             assert row["gradient_norm"] == trace[-1]["gradient_norm"]
         if exit_reason == "max_iter":
-            # one BFGS iteration plus the row for the point it stopped at
+            # one iteration plus the row for the point it stopped at
             assert all(row["iterations"] == 2 for row in rows)
 
     def test_max_iter_rows_describe_the_stopping_point(self, tmp_path, capsys):
@@ -620,6 +640,21 @@ class TestZetaCommand:
         assert "SeriesDivergence" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "setting, error",
+        [
+            # the Fock tail ratio e^832 and a free-field term e^1843 leave the float range
+            ("fock_t=1e-120", "SeriesDivergence"),
+            ("ff_t_list=[1e-200, 10.0]", "OutOfFloatRange"),
+        ],
+    )
+    def test_out_of_float_range_time_exits_3_typed(self, tmp_path, capsys, setting, error):
+        out = tmp_path / "new"
+        code, _, err = run_cli(["zeta", "--out", str(out)] + self.SMALL + ["--set", setting], capsys)
+        assert code == 3
+        assert f"error: {error}:" in err
+        assert not out.exists()
+
 
 class TestPauliExportCommand:
     def test_two_qubit_table(self, tmp_path, capsys):
@@ -680,6 +715,18 @@ class TestLemmaProbesCommand:
             assert all(b < a for a, b in zip(residuals, residuals[1:]))
         assert payload["schatten_sobolev"]["max_abs_err"] <= 1e-10
         assert payload["schatten_inverse_squares"]["max_abs_err"] <= 1e-10
+
+    def test_zero_coupling_check_passes(self, tmp_path, capsys):
+        # at q = 0 the vacuum is e_0 exactly, so every identity and
+        # Hamiltonian residual is exactly 0: equal, not increasing
+        code, _, err = run_cli(
+            ["lemma-probes", "--out", str(tmp_path), "--check", "--set", "q=0",
+             "--set", "n_ref=64", "--set", "n_list=[8, 16, 32]"],
+            capsys,
+        )
+        assert code == 0, err
+        strong = read_json(tmp_path / "probes.json")["strong"]
+        assert strong["identity"] == strong["hamiltonian"] == [0.0, 0.0, 0.0]
 
     def test_sobolev_oracle_follows_the_exponent(self, tmp_path, capsys):
         # the tail oracle sums (1+k^2)^-s, so s = 2 is checked against s = 2

@@ -14,7 +14,7 @@ import scipy.special
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from zetavac.errors import GammaPole, SeriesDivergence
+from zetavac.errors import GammaPole, OutOfFloatRange, SeriesDivergence
 from zetavac.models import (
     FreeFieldParams,
     HydrogenParams,
@@ -193,6 +193,13 @@ class TestFreeFieldRatio:
         with pytest.raises(GammaPole):
             freefield_zeta_ratio(FreeFieldParams(N=1, T=5.0, z=-3.0))
 
+    @pytest.mark.parametrize("T", [1e-200, 1e300])
+    def test_terms_out_of_float_range_raise(self, T):
+        # (iT)^(-z-4) overflows near T = 0 and (iT)^(-z-3) underflows to 0
+        # at huge T, though the ratio N(z+3)/(iT) itself is finite
+        with pytest.raises(OutOfFloatRange):
+            freefield_zeta_ratio(FreeFieldParams(N=1, T=T))
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             FreeFieldParams(N=0, T=1.0)
@@ -233,6 +240,11 @@ class TestFockRatio:
     def test_divergent_series_raises(self):
         with pytest.raises(SeriesDivergence):
             fock_zeta_ratio(0.0, 2.0, 30)
+
+    def test_tail_ratio_beyond_float_range_raises(self):
+        # at T = 1e-120 the tail ratio is e^832: tested as a log, not exponentiated
+        with pytest.raises(SeriesDivergence, match="tail ratio"):
+            fock_zeta_ratio(0.0, 1e-120, 40)
 
     # Edge in T below which the call must raise: where the geometric tail
     # ratio at cutoff c reaches 1, T^3 = 8 pi ((c+1)/c)^max(Re z + 1, 0).
