@@ -401,6 +401,9 @@ def cmd_zeta(cfg, out_dir, check) -> int:
         "freefield.json": payload,
     })
     if check:
+        empty = np.isnan(scan["ratios"]).all(axis=1)
+        if empty.any():  # the identity below would compare nothing at that size
+            raise CheckFailure(f"every denominator collapsed at n={n_list[empty.argmax()]}: no R(z) to check")
         direct = scan["expectations"][:, None]
         off_identity = np.argwhere(np.abs(scan["ratios"] - direct) > 1e-9 * np.abs(direct))
         if off_identity.size:

@@ -1,12 +1,12 @@
 """Gauge-regularized expectation ratios on truncated operators.
 
 Everything here evaluates variants of <psi, H^z A psi> / <psi, H^z psi>
-on finite grids: the pointwise ratio, a sweep over grid sizes that masks
-a collapsed denominator at its size, the time-damped trace version, and a
-scan for zeros of the denominator.
-No H^z is formed: each value, each scale and the rounding guard is a
-spectral sum sum_j lambda_j^z w_j in the eigenbasis of H, evaluated by
-one function, ``_spectral_sums``, for all of them.
+on finite grids: the pointwise ratio, a sweep over grid sizes that takes
+every z of a size from one pass and masks a collapsed denominator at its
+size, the time-damped trace version, and a scan for zeros of the
+denominator.  No H^z is formed: each value, each scale and the rounding
+guard is a spectral sum sum_j lambda_j^z w_j in the eigenbasis of H,
+evaluated by one function, ``_spectral_sums``, for all of them.
 """
 from __future__ import annotations
 
@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DenominatorNearZero,
-    DimensionMismatch,
-    NonPositiveSpectrum,
-    SingularFunctionValue,
-)
+from .errors import DenominatorNearZero, DimensionMismatch, NonPositiveSpectrum, SingularFunctionValue
 from .spectral import EigenSystem, eig_hermitian
 
 __all__ = [
@@ -32,8 +27,8 @@ __all__ = [
 ]
 
 
-# |<psi, H^z psi>| below this is a collapsed gauge denominator, for both
-# gauge_ratio (which raises) and denominator_zero_scan (which reports the z)
+# |<psi, H^z psi>| below this is a collapsed gauge denominator: gauge_ratio raises,
+# ratio_convergence_scan makes the point NaN at its size, denominator_zero_scan reports it
 _DENOMINATOR_FLOOR = 1e-10
 
 
@@ -126,6 +121,16 @@ def _ground_sums(system: EigenSystem, zs, A=None) -> np.ndarray:
     return sums
 
 
+def _operands(H, A, system: EigenSystem | None):
+    """The eigensystem of H (``system`` when given) and A (None or a complex matrix of its size)."""
+    A = None if A is None else np.asarray(A, dtype=complex)
+    if system is None:
+        system = eig_hermitian(H)
+    if A is not None and A.shape != (system.dim, system.dim):
+        raise DimensionMismatch(f"operator {A.shape} vs Hamiltonian dim {system.dim}")
+    return system, A
+
+
 def gauge_ratio(H, A, z: complex, system: EigenSystem | None = None) -> ZetaRatioSample:
     """Regularized ground-state expectation of A in the gauge H^z.
 
@@ -137,11 +142,7 @@ def gauge_ratio(H, A, z: complex, system: EigenSystem | None = None) -> ZetaRati
     (``_ground_sums``), DenominatorNearZero for |denominator| < 1e-10,
     the floor ``denominator_zero_scan`` reports.
     """
-    A = np.asarray(A, dtype=complex)
-    if system is None:
-        system = eig_hermitian(H)
-    if A.shape != (system.dim, system.dim):
-        raise DimensionMismatch(f"operator {A.shape} vs Hamiltonian dim {system.dim}")
+    system, A = _operands(H, A, system)
     z = complex(z)
     num, den = map(complex, _ground_sums(system, [z], A)[0])
     if abs(den) < _DENOMINATOR_FLOOR:
@@ -153,10 +154,10 @@ def ratio_convergence_scan(build_h, build_a, grid: ZGrid, n_list) -> dict:
     """Gauge ratios across grid sizes with consecutive-size residuals.
 
     ``build_h(n)`` and ``build_a(n)`` return the size-``n`` matrices of H
-    and A, for one or more strictly increasing sizes ``n_list``.  Where
-    the denominator collapses (DenominatorNearZero) the ratio and the
-    denominator at that size are NaN, instead of aborting the sweep; the
-    point's other sizes keep their values.
+    and A, for one or more strictly increasing sizes ``n_list``.  Each size
+    is one eigensolve and one ``_ground_sums`` over the whole grid.  Where
+    a denominator collapses (below gauge_ratio's floor) the ratio and the
+    denominator at that size are NaN; the point's other sizes keep theirs.
 
     Returns a dict with keys ``n`` (sizes), ``z`` (points), ``ratios`` and
     ``denominators`` (len(n) x len(z) complex), ``expectations``
@@ -172,16 +173,12 @@ def ratio_convergence_scan(build_h, build_a, grid: ZGrid, n_list) -> dict:
     denominators = ratios.copy()
     expectations = np.empty(len(n_list), dtype=complex)
     for i, n in enumerate(n_list):
-        H, A = build_h(n), build_a(n)
-        system = eig_hermitian(H)
+        system, A = _operands(build_h(n), build_a(n), None)
         psi = system.vectors[:, 0]
         expectations[i] = np.vdot(psi, A @ psi)
-        for j, z in enumerate(pts):
-            try:
-                s = gauge_ratio(H, A, z, system=system)
-            except DenominatorNearZero:
-                continue
-            ratios[i, j], denominators[i, j] = s.ratio, s.denominator
+        num, den = _ground_sums(system, pts, A).T
+        kept = np.abs(den) >= _DENOMINATOR_FLOOR
+        ratios[i, kept], denominators[i, kept] = num[kept] / den[kept], den[kept]
     return {
         "n": np.array(n_list),
         "z": pts,
@@ -203,11 +200,7 @@ def damped_trace_ratio(
     """
     if eps < 0:
         raise ValueError(f"damping eps must be non-negative, got {eps}")
-    A = np.asarray(A, dtype=complex)
-    if system is None:
-        system = eig_hermitian(H)
-    if A.shape != (system.dim, system.dim):
-        raise DimensionMismatch(f"operator {A.shape} vs Hamiltonian dim {system.dim}")
+    system, A = _operands(H, A, system)
     z, T = complex(z), float(T)
     lam, V = system.eigenvalues, system.vectors
     # Work in the eigenbasis and pull the common ground-state evolution
@@ -234,7 +227,6 @@ def denominator_zero_scan(H, grid: ZGrid, system: EigenSystem | None = None) -> 
     finite, or else the first whose denominator is amplified rounding
     (large Re z; the denominator part of gauge_ratio's guard).
     """
-    if system is None:
-        system = eig_hermitian(H)
+    system, _ = _operands(H, None, system)
     den = _ground_sums(system, grid.points)[:, 0]
     return grid.points[np.abs(den) < _DENOMINATOR_FLOOR]

@@ -2,12 +2,13 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from zetavac import __version__, cli, gauge
+from zetavac import __version__, cli, errors, gauge
 from zetavac.cli import build_parser, main
 from zetavac.models import HydrogenParams, hydrogen_matrix
 from zetavac.pauli import decompose
@@ -572,6 +573,22 @@ class TestZetaCommand:
             else:
                 assert r[6] == "0" and np.isfinite(float(r[3])) and float(r[5]) >= 1e-10
 
+    def test_check_fails_when_a_size_keeps_no_point(self, tmp_path, capsys):
+        # every z collapses at every size here, so the identity check would
+        # compare nothing; --check names the first such size instead of passing
+        out = tmp_path / "new"
+        code, _, err = run_cli(
+            ["zeta", "--out", str(out), "--check",
+             "--set", "q=100.0", "--set", "m=0.01", "--set", "z_re_min=-8.5",
+             "--set", "z_re_max=-7.5", "--set", "z_im_points=1",
+             "--set", "n_list=[2, 4, 8, 16]", "--set", "ff_n_max=1"],
+            capsys,
+        )
+        assert code == 4
+        assert "every denominator collapsed at n=2" in err
+        _, _, rows = read_headed_csv(out / "zeta_grid.csv")
+        assert len(rows) == 12 and all(r[6] == "1" for r in rows)
+
     def test_position_observable(self, tmp_path, capsys):
         code, _, _ = run_cli(
             ["zeta", "--out", str(tmp_path), "--set", "observable=position"] + self.SMALL,
@@ -584,14 +601,14 @@ class TestZetaCommand:
         assert code == 0
 
     def test_check_fails_when_ratio_leaves_expectation(self, tmp_path, capsys, monkeypatch):
-        ratio = gauge.gauge_ratio
+        sums = gauge._ground_sums
 
         def perturbed(*args, **kwargs):
-            s = ratio(*args, **kwargs)
-            scale = 1.0 + 1e-6
-            return dataclasses.replace(s, numerator=s.numerator * scale, ratio=s.ratio * scale)
+            out = sums(*args, **kwargs)
+            out[:, 0] *= 1.0 + 1e-6  # the numerator column, every z at once
+            return out
 
-        monkeypatch.setattr(gauge, "gauge_ratio", perturbed)
+        monkeypatch.setattr(gauge, "_ground_sums", perturbed)
         code, _, err = run_cli(["zeta", "--out", str(tmp_path), "--check"] + self.SMALL, capsys)
         assert code == 4
         assert "differs from <psi, A psi> by more than 1e-9" in err
@@ -757,3 +774,92 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["frobnicate"])
         assert exc.value.code == 2
+
+
+# Small base configs of the boundary-input sweep; each swept key is set on
+# top of its base.  hydrogen-convergence has a second base in qubits mode,
+# the only mode that reads q_max and q_ref.
+_SWEEP_BASES = {
+    "hydrogen-convergence": ["n_start=4", "n_stop=12", "n_step=4", "n_ref=16"],
+    "hydrogen-convergence qubits": ["mode=qubits", "q_max=2", "q_ref=3"],
+    "vqe": ["q_max=2", "layers=2", "max_iter=300", "restarts=1"],
+    "zeta": ["n_list=[4, 8]", "z_re_points=2", "z_im_points=2", "ff_n_max=1",
+             "ff_t_list=[10.0, 100.0]", "ff_z_points=2"],
+    "pauli-export": ["qubits=2"],
+    "lemma-probes": ["n_ref=16", "n_list=[2, 4, 8]"],
+}
+
+
+def _sweep_keys(base):
+    command = base.split()[0]
+    keys = list(cli._DEFAULTS[command]) + ["seed"]
+    if command == "hydrogen-convergence":
+        qubit_keys = ["q_max", "q_ref"]
+        keys = qubit_keys if base.endswith("qubits") else [k for k in keys if k not in qubit_keys]
+    return keys
+
+
+def _boundary_values(default):
+    """Boundary values of a key, by the type of its default (no size large enough to matter)."""
+    if isinstance(default, list):
+        tiny_or_huge = ["[1e-300, 10.0]", "[10.0, 1e300]"] if isinstance(default[0], float) else ["[1, 2]"]
+        return ["[]", "[0]", "[1]", "[2]", "[-1]", "[1, 1]", "[3, 2]"] + tiny_or_huge
+    if isinstance(default, str):
+        return ['""', "x"]
+    if isinstance(default, float):
+        return ["0", "-1", "1e12", "1e-12", "1e300", "1e-300", "0.5"]
+    return ["-1", "0", "1", "2", "3"]
+
+
+# The runs whose --check claim is really false, so exit 4 is the true
+# verdict: (command, key or None for every key, values or None for every
+# value, the failure message).
+_FALSE_CLAIMS = [
+    # the rate targets describe the default sweep only (README); the base
+    # sweep is small, so its fitted rate or its fit is off at every value
+    ("hydrogen-convergence", None, None, r"fit rate \S+ outside 15%|no exponential fit available"),
+    # the deviation bound is an absolute 1e-6, below the rounding of
+    # energies of order 1/m or q = 1e12 and more
+    ("vqe", "m", {"1e-12", "1e-300"}, "deviations above 1e-6"),
+    ("vqe", "q", {"1e12", "1e300"}, "deviations above 1e-6"),
+    # three natural-gradient iterations do not reach 1e-6
+    ("vqe", "max_iter", {"1", "2", "3"}, "deviations above 1e-6"),
+    # size 2 keeps the modes 0 and +1 but not -1, and its truncated x lands
+    # farther from the reference than size 1's: the residual rises
+    ("lemma-probes", "n_list", {"[1, 2]"}, "strong probe position residuals not strictly decreasing"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, key", [(base, key) for base in _SWEEP_BASES for key in _sweep_keys(base)]
+)
+def test_boundary_inputs_end_as_documented(base, key, tmp_path, capsys):
+    # every value ends in a result, a config error or a typed numeric error
+    # with nothing written, or a --check failure whose claim is false
+    command = base.split()[0]
+    wrong = []
+    for i, value in enumerate(_boundary_values(cli._DEFAULTS[command].get(key, 0))):
+        out = tmp_path / str(i)
+        argv = [command, "--out", str(out), "--check"]
+        for item in _SWEEP_BASES[base] + [f"{key}={value}"]:
+            argv += ["--set", item]
+        code, _, err = run_cli(argv, capsys)
+        last = err.strip().splitlines()[-1] if err.strip() else ""
+        typed = re.match(r"error: (\w+): ", last)
+        if code == 0:
+            ok = True
+        elif code == 2:
+            ok = last.startswith("config error: ") and not out.exists()
+        elif code == 3:
+            ok = typed is not None and typed[1] in vars(errors) and not out.exists()
+        elif code == 4:
+            ok = any(
+                c == command and k in (None, key) and (vals is None or value in vals)
+                and re.search(message, last)
+                for c, k, vals, message in _FALSE_CLAIMS
+            )
+        else:
+            ok = False
+        if not ok:
+            wrong.append((value, code, last))
+    assert not wrong

@@ -13,6 +13,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from zetavac import gauge
 from zetavac.errors import (
     DenominatorNearZero,
     DimensionMismatch,
@@ -210,6 +211,16 @@ def test_guard_first_raise_table(n):
     assert got == _FIRST_RAISE[n]
 
 
+def _collapsing_at_three(n):
+    """Diagonal H whose smallest eigenvalue is 1e-13 at n = 3 only, so z = 1
+    collapses there and keeps its ratio and denominator at n = 2 and 4."""
+    return np.diag(np.r_[1e-13 if n == 3 else 0.5, np.arange(1.0, n)])
+
+
+# 49 seeded points in [-0.5, 0.5]^2, the square of the CLI's default z grid
+_SEEDED_Z = np.random.default_rng(7).uniform(-0.5, 0.5, (49, 2)) @ [1.0, 1j]
+
+
 class TestRatioConvergenceScan:
     def test_shapes_and_z_constancy(self):
         grid = ZGrid(points=np.array([-0.4, 0.0, 0.4]) + 1j * np.array([0.1, 0.0, -0.1]))
@@ -241,13 +252,8 @@ class TestRatioConvergenceScan:
         assert np.isfinite(out["ratios"][:, 0]).all()
 
     def test_collapse_masks_only_its_size(self):
-        # the smallest eigenvalue is 1e-13 at n = 3 only, so z = 1 collapses
-        # there and keeps its ratio and denominator at n = 2 and 4
-        def build_h(n):
-            return np.diag(np.r_[1e-13 if n == 3 else 0.5, np.arange(1.0, n)])
-
         grid = ZGrid(points=[0.0, 1.0])
-        out = ratio_convergence_scan(build_h, np.eye, grid, [2, 3, 4])
+        out = ratio_convergence_scan(_collapsing_at_three, np.eye, grid, [2, 3, 4])
         assert out["excluded"].tolist() == [False, True]
         assert_allclose(out["ratios"][[0, 2]], 1.0, atol=1e-15)
         assert_allclose(out["denominators"][[0, 2], 1], 0.5, atol=1e-15)
@@ -255,6 +261,48 @@ class TestRatioConvergenceScan:
         assert out["ratios"][1, 0] == pytest.approx(1.0, abs=1e-15)
         assert np.isnan(out["residuals"][:, 1]).all()
         assert_allclose(out["expectations"], 1.0, atol=1e-15)
+
+    def test_one_spectral_pass_per_size(self, monkeypatch):
+        # each size is one eigensolve and one _ground_sums over the whole
+        # grid; the one-point gauge_ratio is not on the scan's path
+        calls = {"eig_hermitian": [], "_ground_sums": [], "gauge_ratio": []}
+        for name in calls:
+            original = getattr(gauge, name)
+
+            def counted(*args, _original=original, _seen=calls[name], **kwargs):
+                _seen.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(gauge, name, counted)
+        grid = ZGrid(points=(np.linspace(-0.5, 0.5, 3)[:, None] + 1j * np.linspace(-0.5, 0.5, 3)).ravel())
+        ratio_convergence_scan(hydrogen_matrix, position_matrix, grid, [4, 8, 16])
+        assert [args[0].shape for args in calls["eig_hermitian"]] == [(4, 4), (8, 8), (16, 16)]
+        assert [np.shape(args[1]) for args in calls["_ground_sums"]] == [(9,)] * 3
+        assert calls["gauge_ratio"] == []
+
+    @pytest.mark.parametrize(
+        "build_h, build_a, points, sizes",
+        [
+            (hydrogen_matrix, hydrogen_matrix, _SEEDED_Z, [8, 16, 32, 64, 128, 256, 512]),
+            (hydrogen_matrix, position_matrix, _SEEDED_Z, [8, 16, 32, 64, 128, 256, 512]),
+            (_collapsing_at_three, np.eye, [0.0, 1.0], [2, 3, 4]),
+        ],
+        ids=["hamiltonian", "position", "diagonal"],
+    )
+    def test_agrees_with_gauge_ratio_point_by_point(self, build_h, build_a, points, sizes):
+        grid = ZGrid(points=points)
+        out = ratio_convergence_scan(build_h, build_a, grid, sizes)
+        for i, n in enumerate(sizes):
+            H, A = build_h(n), build_a(n)
+            system = eig_hermitian(H)
+            for j, z in enumerate(grid.points):
+                try:
+                    s = gauge_ratio(H, A, z, system=system)
+                except DenominatorNearZero:
+                    assert np.isnan(out["ratios"][i, j]) and np.isnan(out["denominators"][i, j])
+                    continue
+                assert abs(out["ratios"][i, j] - s.ratio) <= 4e-15 * abs(s.ratio), (n, z)
+                assert abs(out["denominators"][i, j] - s.denominator) <= 4e-15 * abs(s.denominator)
 
     def test_needs_one_or_more_increasing_sizes(self):
         grid = ZGrid(points=[0.0])
