@@ -38,7 +38,7 @@ class SeriesDivergence(ArithmeticError):
 
 
 class OutOfFloatRange(ArithmeticError):
-    """A closed-form term overflows or underflows the float range."""
+    """A closed-form term or a VQE energy or gradient leaves the float range."""
 
 
 class NonPositiveSpectrum(ValueError):

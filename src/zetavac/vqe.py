@@ -8,12 +8,13 @@ axis of the state, so each gate is three ufunc calls over the whole
 batch; this makes the gradient, the metric and the line search nearly
 free.  The classical loop is memoryless natural-gradient descent: one
 batch of P + 1 circuits (the pi-shift parameter-shift rule) gives the
-energy, all P derivatives and the Fubini-Study metric G, and each step
-goes to the lowest point of a batched step grid along -G^+ g.  Energies
-are quadratic forms of the reconstructed matrix.  Word expectations, the
-quantities a device measures and the input of ``sampled_energy``, come
-from the package's one Pauli transform: <psi|S^q|psi> is 2^Q times
-coefficient q of decompose(|psi><psi|).
+energy, all P derivatives and the P x 2^(Q+1) tangent matrix R of the
+Fubini-Study metric G = R R^T / 4, and each step goes to the lowest point
+of a batched step grid along -G^+ g, taken from one thin SVD of R.
+Energies are quadratic forms of the reconstructed matrix.  Word
+expectations, the quantities a device measures and the input of
+``sampled_energy``, come from the package's one Pauli transform:
+<psi|S^q|psi> is 2^Q times coefficient q of decompose(|psi><psi|).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParamLengthMismatch, SpecMismatch
+from .errors import DimensionMismatch, OutOfFloatRange, ParamLengthMismatch, SpecMismatch
 from .pauli import PauliCoefficients, decompose, reconstruct
 
 __all__ = [
@@ -215,30 +216,37 @@ _METRIC_CUTOFF = 1e-10
 
 
 def _energy_and_gradient(spec: AnsatzSpec, H: np.ndarray, x: np.ndarray):
-    """Energy, exact gradient and Fubini-Study metric at x from one (P + 1)-row propagation.
+    """Energy, exact gradient and real tangent matrix at x from one (P + 1)-row propagation.
 
     Row 0 is psi(x) and row k is psi(x + pi e_k).  Angle k enters as
     exp(-i x_k S / 2) with S a Pauli word and exp(-i pi S / 2) = -iS, so
-    psi(x + pi e_k) = 2 d psi / d x_k and dE/dx_k = Re <psi(x + pi e_k)|H|psi(x)>;
-    the metric Re(<d_k psi|d_l psi> - <d_k psi|psi><psi|d_l psi>) is one more P x 2^Q x P product.
+    psi(x + pi e_k) = 2 d psi / d x_k and dE/dx_k = Re <psi(x + pi e_k)|H|psi(x)>.
+    Rows 1..P are then projected off psi in place, T_k = psi_k - <psi|psi_k> psi,
+    so the Fubini-Study metric Re(<d_k psi|d_l psi> - <d_k psi|psi><psi|d_l psi>)
+    is Re(T T^dagger) / 4 = R R^T / 4, with R the float view of T: P x 2^(Q+1),
+    the real and imaginary part of each amplitude in neighbouring columns.
+    R is returned in place of the metric, which is never formed.
     """
     P = spec.n_params
     psi = _propagate(spec, x + np.pi * np.eye(P + 1, P, k=-1))  # rows 1..P shift one angle each
     hpsi = psi[0].conj() @ H
-    overlap = psi[1:].conj() @ psi[0]  # 2 <d_k psi|psi>
-    metric = (psi[1:].conj() @ psi[1:].T - np.outer(overlap, overlap.conj())).real / 4.0
-    return float((hpsi * psi[0]).sum().real), (psi[1:] @ hpsi).real, metric
+    grad = (psi[1:] @ hpsi).real
+    tangents = psi[1:]
+    tangents -= np.outer(tangents @ psi[0].conj(), psi[0])
+    return float((hpsi * psi[0]).sum().real), grad, tangents.view(float)
 
 
 def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initial=None) -> MinimizeResult:
     """Minimize the Pauli-sum energy over the ansatz parameters by natural gradient.
 
     One (P + 1)-row propagation gives the energy, the exact gradient g (the
-    parameter-shift rule in its pi-shift form) and the Fubini-Study metric
-    G at a point (``_energy_and_gradient``).  Each step goes along
-    d = -G^+ g to the lowest point of a batched grid: 12 log-spaced steps
-    around length 1, and 10 down to 1e-7 only when none of those descends,
-    each grid one propagation.  When neither descends along d, both run
+    parameter-shift rule in its pi-shift form) and the tangent matrix R of
+    the Fubini-Study metric G = R R^T / 4 at a point (``_energy_and_gradient``).
+    One thin SVD R = U S V^T gives the eigenpairs (S^2 / 4, U) of G, at most
+    2^(Q+1) of them, and d = -G^+ g from those above ``_METRIC_CUTOFF`` times
+    the largest, with no P x P matrix.  Each step goes along d to the lowest
+    point of a batched grid: 12 log-spaced steps around length 1, and 10
+    down to 1e-7 only when none of those descends, each grid one propagation.  When neither descends along d, both run
     along -g, and the run returns once that finds nothing either.  Nothing
     but the point carries between iterations, and an iteration is a grid
     and one batch at the new point.  The trace records (iteration, energy,
@@ -246,7 +254,9 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
 
     When max_iter iterations pass first, the run was cut off, not finished:
     the result has ``converged`` False and its trace ends with a row for
-    the point it stopped at, iteration ``max_iter``.
+    the point it stopped at, iteration ``max_iter``.  A point whose energy
+    or gradient norm is not finite (an operator near the float range)
+    raises OutOfFloatRange.
     """
     if spec.qubits != c.qubits:
         raise SpecMismatch(f"ansatz on {spec.qubits} qubits, coefficients on {c.qubits}")
@@ -257,16 +267,19 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
         if x.shape != (spec.n_params,):
             raise ParamLengthMismatch(f"initial {x.shape} vs ({spec.n_params},)")
     H = reconstruct(c)
-    fx, g, G = _energy_and_gradient(spec, H, x)
+    fx, g, R = _energy_and_gradient(spec, H, x)
     trace: list = []
     for it in range(cfg.max_iter + 1):
         gnorm = float(np.linalg.norm(g))
+        if not np.isfinite([fx, gnorm]).all():
+            raise OutOfFloatRange(f"energy {fx} and gradient norm {gnorm} at iteration {it}")
         trace.append({"iteration": it, "energy": fx, "gradient_norm": gnorm, "params_hash": _params_hash(x)})
         if it == cfg.max_iter:  # cut off; the last row is the point it stopped at
             return MinimizeResult(x, fx, trace, converged=False)
-        lam, V = np.linalg.eigh(G)
-        keep = lam > _METRIC_CUTOFF * lam[-1]
-        d = -V[:, keep] @ ((V[:, keep].T @ g) / lam[keep])
+        U, S, _ = np.linalg.svd(R, full_matrices=False)
+        lam = S**2 / 4.0  # the eigenvalues of G, largest first
+        keep = lam > _METRIC_CUTOFF * lam[0]
+        d = -U[:, keep] @ ((U[:, keep].T @ g) / lam[keep])
         # coarse, then fallback grid along d, then both along -g, up to the first that descends
         for direction, steps in itertools.product((d, -g), (_COARSE_STEPS, _FALLBACK_STEPS)):
             psi = _propagate(spec, x + steps[:, None] * direction)
@@ -277,7 +290,7 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
         else:  # nothing below fx along either
             return MinimizeResult(x, fx, trace)
         x = x + steps[i] * direction
-        fx, g, G = _energy_and_gradient(spec, H, x)
+        fx, g, R = _energy_and_gradient(spec, H, x)
 
 
 def warm_start_embed(params, spec_from: AnsatzSpec, spec_to: AnsatzSpec) -> np.ndarray:

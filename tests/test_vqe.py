@@ -9,9 +9,11 @@ operator's coefficients; what ``sampled_energy`` measures) and from
 matrix itself, and ``energy`` against an extended-precision one.
 Single-word cases pin individual expectations to their known values.
 The (P + 1)-row gradient is checked against the +-pi/2 shift rule and
-central differences, its Fubini-Study metric against one built from
-central-difference tangents, and the optimizer's propagation count
-against its two-per-iteration budget.  Optimizer tests pin the
+central differences, the Fubini-Study metric of its tangent matrix and
+the optimizer's step direction against a metric built from
+central-difference tangents, the optimizer's propagation count against
+its two-per-iteration budget, and its linear algebra against one thin
+SVD per iteration.  Optimizer tests pin the
 small-qubit hydrogen values that the nested chain must hit.
 """
 import math
@@ -36,7 +38,15 @@ from zetavac.vqe import (
     warm_start_embed,
     warm_started_chain,
 )
-from zetavac.vqe import _COARSE_STEPS, _FALLBACK_STEPS, _energy_and_gradient, _params_hash, _propagate, _word_expectations
+from zetavac.vqe import (
+    _COARSE_STEPS,
+    _FALLBACK_STEPS,
+    _METRIC_CUTOFF,
+    _energy_and_gradient,
+    _params_hash,
+    _propagate,
+    _word_expectations,
+)
 
 GROUND_Q1 = 0.392108816647
 GROUND_Q2 = 0.229395425745
@@ -201,24 +211,31 @@ class TestGradientScale:
 
     @pytest.mark.parametrize("Q", [1, 2, 3, 4, 5])
     def test_metric_matches_central_difference_fubini_study(self, Q):
-        # the metric from the same batch against Re(<d_k psi|d_l psi> -
-        # <d_k psi|psi><psi|d_l psi>) with tangents from central differences
-        # of apply_ansatz at h = 1e-5 (seen: <= 8.1e-11 relative); a Gram
-        # matrix of projected tangents is symmetric and positive semidefinite
+        # the metric R R^T / 4 of the batch's real tangent matrix against
+        # Re(<d_k psi|d_l psi> - <d_k psi|psi><psi|d_l psi>) with tangents
+        # from central differences of apply_ansatz at h = 1e-5 (seen: <= 8.1e-11
+        # relative); a Gram matrix of projected tangents is symmetric and
+        # positive semidefinite
         spec = AnsatzSpec(Q, 8)
         P = spec.n_params
         p = np.random.default_rng(40 + Q).uniform(-math.pi, math.pi, P)
-        _, _, G = _energy_and_gradient(spec, hydrogen_matrix(1 << Q), p)
-        psi, h = apply_ansatz(spec, p), 1e-5
-        tangents = np.array([(apply_ansatz(spec, p + h * e) - apply_ansatz(spec, p - h * e)) / (2.0 * h)
-                             for e in np.eye(P)])
-        overlap = tangents.conj() @ psi
-        oracle = (tangents.conj() @ tangents.T - np.outer(overlap, overlap.conj())).real
-        assert G.shape == (P, P)
+        _, _, R = _energy_and_gradient(spec, hydrogen_matrix(1 << Q), p)
+        assert R.shape == (P, 2 << Q)
+        G = R @ R.T / 4.0
+        oracle = _central_difference_metric(spec, p)
         assert np.abs(G - oracle).max() <= 1e-9 * np.abs(oracle).max()
         assert np.abs(G - G.T).max() <= 1e-15 * np.abs(G).max()
         lam = np.linalg.eigvalsh(G)
         assert lam[0] >= -1e-14 * lam[-1]
+
+
+def _central_difference_metric(spec, p, h=1e-5):
+    """Re(<d_k psi|d_l psi> - <d_k psi|psi><psi|d_l psi>) from central-difference tangents."""
+    psi = apply_ansatz(spec, p)
+    tangents = np.array([(apply_ansatz(spec, p + h * e) - apply_ansatz(spec, p - h * e)) / (2.0 * h)
+                         for e in np.eye(spec.n_params)])
+    overlap = tangents.conj() @ psi
+    return (tangents.conj() @ tangents.T - np.outer(overlap, overlap.conj())).real
 
 
 class TestSampledEnergy:
@@ -347,6 +364,57 @@ class TestMinimize:
         # a coarse grid that does not follow a gradient batch searches along -g
         retries = sum(cur == _COARSE_STEPS.size and prev != P + 1 for prev, cur in zip(rows, rows[1:]))
         assert len(batches) <= 2 * len(res.trace) + fallback + retries + 1
+
+    @pytest.mark.parametrize("Q", [1, 2, 3, 4, 5])
+    def test_step_direction_is_pseudo_inverse_of_metric_times_gradient(self, Q, monkeypatch):
+        # the first grid runs along d = -G^+ g; recovered from its longest
+        # step against the pseudo-inverse of the central-difference metric,
+        # eigenvalues at or below _METRIC_CUTOFF times the largest dropped
+        # (seen: <= 8.9e-9 relative, at Q = 5)
+        spec = AnsatzSpec(Q, 8)
+        c = decompose(hydrogen_matrix(1 << Q))
+        x = np.random.default_rng(50 + Q).uniform(-math.pi, math.pi, spec.n_params)
+        batches = []
+        propagate = vqe._propagate
+
+        def recording(spec_, params):
+            batches.append(np.array(params))
+            return propagate(spec_, params)
+
+        monkeypatch.setattr(vqe, "_propagate", recording)
+        minimize(spec, c, OptimizerConfig(max_iter=1), initial=x)
+        grid = batches[1]
+        assert grid.shape == (_COARSE_STEPS.size, spec.n_params)
+        d = (grid[-1] - x) / _COARSE_STEPS[-1]
+        _, g, _ = _energy_and_gradient(spec, reconstruct(c), x)
+        metric = _central_difference_metric(spec, x)
+        oracle = -np.linalg.pinv(metric, rcond=_METRIC_CUTOFF, hermitian=True) @ g
+        assert np.linalg.norm(d - oracle) <= 1e-7 * np.linalg.norm(oracle)
+
+    def test_step_takes_one_thin_svd_and_no_eigh(self, monkeypatch):
+        # d comes from one SVD of the P x 2^(Q+1) tangent matrix per
+        # iteration: at every trace row of a converged run (the last finds
+        # no descent), at all but the last of a cut-off one; no P x P
+        # eigensolve runs
+        coeffs = {Q: decompose(hydrogen_matrix(1 << Q)) for Q in (1, 3)}
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        for Q, max_iter, converged in ((1, 25000, True), (3, 25000, True), (3, 4, False)):
+            spec = AnsatzSpec(Q, 8)
+            shapes.clear()
+            res = minimize(spec, coeffs[Q], OptimizerConfig(seed=0, max_iter=max_iter))
+            assert res.converged is converged
+            assert shapes == [(spec.n_params, 2 << Q)] * (len(res.trace) - (not converged))
 
 
 class TestWarmStartedChain:
