@@ -263,6 +263,7 @@ def cmd_hydrogen_convergence(cfg, out_dir, check) -> int:
         "reference_energy": reference,
         "max_vacuum_residual": worst.residual,
         "max_vacuum_iterations": slowest.iterations,
+        "max_certificate_block": max(v.certificate_block for v in vacua),
     }
     try:
         window = fit_exponential_window(np.array(abscissa, dtype=float), errs)

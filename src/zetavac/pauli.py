@@ -63,7 +63,9 @@ class PauliCoefficients:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+        # an owned copy: a view (decompose's c.real) would keep its whole
+        # base array alive, twice the size for a complex base
+        c = np.array(self.coeffs, dtype=float)
         if c.shape != (4**self.qubits,):
             raise DimensionMismatch(f"coeffs shape {c.shape}, expected ({4 ** self.qubits},)")
         object.__setattr__(self, "coeffs", c)

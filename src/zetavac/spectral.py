@@ -31,11 +31,16 @@ _HERMITIAN_TOL = 1e-12
 
 
 def _hermitian_and_scale(M):
-    """``require_hermitian``, also returning max|M| (0.0 for an empty matrix).
+    """``require_hermitian``, also returning max|M| and off-diagonal row sums.
 
     Each upper-triangle tile is compared with the conjugate of its mirror
     tile, and both tiles give their largest magnitude while they are in
     cache, so every entry is read once and no n x n temporary is formed.
+    The same |upper| tiles give ``off[i]``, the sum of |M_ij| over j != i
+    of the Hermitian matrix that M's upper triangle defines, the matrix a
+    LAPACK routine reading that triangle sees: each tile adds its row sums
+    to its rows and its column sums to the mirror rows.  max|M| is 0.0
+    for an empty matrix.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -44,12 +49,18 @@ def _hermitian_and_scale(M):
     b = max(min(n, _TILE), 1)
     diff = np.empty(b * b, dtype=complex)
     mag = np.empty(b * b)
+    off = np.zeros(n)
     scale = dev = 0.0
     for i in range(0, n, b):
         for j in range(i, n, b):
             upper, lower = M[i : i + b, j : j + b], M[j : j + b, i : i + b]
             h, w = upper.shape
-            upper_max = np.abs(upper, out=mag[: h * w].reshape(h, w)).max()
+            a = np.abs(upper, out=mag[: h * w].reshape(h, w))
+            upper_max = a.max()
+            if j == i:  # a diagonal tile holds its own mirror: keep its strict upper part
+                np.copyto(a, 0.0, where=np.tri(h, dtype=bool))
+            off[i : i + h] += a.sum(axis=1)
+            off[j : j + w] += a.sum(axis=0)
             lower_max = np.abs(lower, out=mag[: h * w].reshape(w, h)).max() if j != i else upper_max
             # max and np.maximum (unlike Python's max) propagate NaN, and
             # |inf| is inf, so this finds both
@@ -66,7 +77,7 @@ def _hermitian_and_scale(M):
             f"matrix deviates from Hermitian symmetry by {dev:.3e} "
             f"(allowed {_HERMITIAN_TOL:.1e} * {scale:.3e})"
         )
-    return M, float(scale)
+    return M, float(scale), off
 
 
 def require_hermitian(M) -> np.ndarray:

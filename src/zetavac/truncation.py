@@ -13,13 +13,14 @@ eigenvalues (LAPACK ``heevd``/``syevd``, about a third of the work of a
 singular value decomposition), in real arithmetic whenever the weighted
 operator has no imaginary part.
 
-The ground state comes from one function, ``vacuum_state``: a certified
-LOBPCG iteration on the dense matrix.  NumPy and SciPy each load their own
-OpenBLAS thread pool, and a pool's workers keep spinning after a call, so
-a call into one pool right after a call into the other competes with them
-for the cores.  The rule is: SciPy's LAPACK and BLAS only in
-``vacuum_state``, NumPy's for everything else, the Schatten eigenvalues
-included.
+The ground state comes from one function, ``vacuum_state``: a LOBPCG
+iteration on the dense matrix, certified by a Cholesky factorization of
+a leading block, a triangular solve and a Gershgorin bound.  NumPy and
+SciPy each load their own OpenBLAS thread pool, and a pool's workers keep
+spinning after a call, so a call into one pool right after a call into
+the other competes with them for the cores.  The rule is: SciPy's LAPACK and BLAS only in
+``vacuum_state``, its factorizations and triangular solve included, and
+NumPy's for everything else, the Schatten eigenvalues included.
 """
 from __future__ import annotations
 
@@ -85,7 +86,10 @@ class DiscretizedVacuum:
 
     ``residual`` is ``||H state - energy * state||_2 / max|H|``.  Since
     ``max|H| <= ||H||_2`` it bounds the usual relative residual from above.
-    ``iterations`` counts the LOBPCG iterations of the solve.
+    ``iterations`` counts the LOBPCG iterations of the solve, and
+    ``certificate_block`` the leading rows its certificate factored: ``n``
+    for a full Cholesky factorization, 0 when Gershgorin's theorem alone
+    certified the energy.
     """
 
     n: int
@@ -93,6 +97,7 @@ class DiscretizedVacuum:
     state: np.ndarray
     residual: float
     iterations: int
+    certificate_block: int
 
     def __post_init__(self):
         state = np.asarray(self.state, dtype=complex)
@@ -160,15 +165,49 @@ def vacuum_state(H) -> DiscretizedVacuum:
     ||H x - theta x||_2 <= 1e-14 * max|H|.
 
     An iterative solve can stop on an excited state whose eigenvector the
-    start vector is orthogonal to, so the result is certified: a Cholesky
-    factorization of H - (theta - delta) I, delta = 1e-10 * max|H|, exists
-    only if no eigenvalue lies below theta - delta.  ConvergenceFailure is
-    raised when it does not exist, or when the residual bound is not met
-    within the iteration cap.  The state carries the same phase convention
-    as ``eig_hermitian``.  Energy and residual come from a fresh product
-    H psi, since theta comes from the recursively updated H x.
+    start vector is orthogonal to, so the result is certified: no
+    eigenvalue lies below sigma = theta - delta, delta = 1e-10 * max|H|,
+    if H - sigma I is positive definite.  That holds when its leading
+    k x k block A factors as L L^H and Gershgorin's theorem bounds the
+    Schur complement D - W^H W, W = L^-1 H[:k, k:], away from zero: its
+    entries differ from D's by at most ||w_i|| ||w_j|| (w_j the columns
+    of W), so every trailing row i must pass
+
+        (H_ii - sigma) - R_i - ||w_i|| sum_j ||w_j|| > margin_i,
+        R_i = sum_{j != i} |H_ij|.
+
+    k starts at the last row whose own Gershgorin disc reaches sigma and
+    doubles while a row fails.  Once 2k > n, k = n: the full Cholesky
+    factorization of H - sigma I, so a matrix without a dominant diagonal
+    (every disc of a random Hermitian matrix reaches sigma) gets the
+    verdict and the n^3 / 3 cost of a plain Cholesky certificate.  The
+    kinetic diagonal of a hydrogen matrix outgrows its row sums: at
+    (m, q) = (1, 1) the bound holds at k = 112 for n = 256..1050 and at
+    k = 56 for n = 2048; below n = 256 the full factorization runs.
+
+    The margin covers rounding.  ``ztrsm`` returns each w_j exact for
+    some L + dL, |dL| <= k eps |L| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., thm 8.5), so each ||w_j|| is at most
+    1 + eta times the computed one, eta = k^1.5 eps kappa(L), and the
+    product term at most 1 + 3 eta times its computed value for eta <= 1.
+    By interlacing, lambda_min(A) >= lambda_0(H) - sigma >= delta / 2
+    when theta is within the residual of the ground level lambda_0, so
+    kappa(L)^2 <= k (max|H| + |sigma|) / (delta / 2) and
+    eta = k^2 eps sqrt(2 (max|H| + |sigma|) / delta): 4e-7 at k = 112,
+    below 1 for k < 1.8e5 when |sigma| <= max|H|.  A leading block with
+    an eigenvalue within delta / 2 above sigma is outside this bound.
+    R_i, from the upper triangle that zpotrf reads, sums n rounded
+    magnitudes, and the left side rounds at the scale of its terms, so
+
+        margin_i = 3 eta ||w_i|| sum_j ||w_j|| + 3 n eps (R_i + |H_ii| + |sigma|).
+
+    ConvergenceFailure is raised when a factorization fails, or when the
+    residual bound is not met within the iteration cap.  The state carries
+    the same phase convention as ``eig_hermitian``.  Energy and residual
+    come from a fresh product H psi, since theta comes from the
+    recursively updated H x.
     """
-    M, scale = _hermitian_and_scale(H)
+    M, scale, off = _hermitian_and_scale(H)
     scale = max(scale, np.finfo(float).tiny)
     blas, lapack = scipy.linalg.blas, scipy.linalg.lapack
     n = M.shape[0]
@@ -221,20 +260,40 @@ def vacuum_state(H) -> DiscretizedVacuum:
             f"LOBPCG residual {rnorm:.3e} above {1e-14 * scale:.3e} after {_MAX_ITER} iterations"
         )
     delta = 1e-10 * scale
-    shifted = M.copy()
-    shifted.flat[:: n + 1] -= theta - delta
-    # Hermitian, so the Fortran-ordered view is the conjugate, which is
-    # positive definite exactly when the matrix is
-    _, info = lapack.zpotrf(shifted.T, overwrite_a=1, clean=0)
-    if info != 0:
-        raise ConvergenceFailure(
-            f"LOBPCG stopped at {theta!r}, but an eigenvalue lies below it by more than {delta:.3e}"
-        )
+    sigma = theta - delta
+    eps = np.finfo(float).eps
+    gap = d - sigma - off  # own Gershgorin margins of the rows of H - sigma I
+    slack = 3 * n * eps * (off + np.abs(d) + abs(sigma))
+    reach = np.flatnonzero(gap <= slack)
+    k = int(reach[-1]) + 1 if reach.size else 0
+    while k:
+        if 2 * k > n:
+            k = n
+        lead = M[:k, :k].copy()
+        lead.flat[:: k + 1] -= sigma
+        # Hermitian, so the Fortran-ordered view is the conjugate, positive
+        # definite exactly when the block is; zpotrf factors it as U^H U,
+        # so U^H = conj(L)
+        u, info = lapack.zpotrf(lead.T, overwrite_a=1, clean=0)
+        if info != 0:
+            raise ConvergenceFailure(
+                f"LOBPCG stopped at {theta!r}, but an eigenvalue lies below it by more "
+                f"than {delta:.3e} (leading block of {k} of {n} rows)"
+            )
+        if k == n:
+            break
+        # U^-H conj(H[:k, k:]) is the conjugate of W, with W's column norms
+        w = np.linalg.norm(blas.ztrsm(1.0, u, M.T[:k, k:], trans_a=2), axis=0)
+        eta = k * k * eps * np.sqrt(2.0 * (scale + abs(sigma)) / delta)
+        t = w * w.sum()
+        if (gap[k:] - t > slack[k:] + 3.0 * eta * t).all():
+            break
+        k *= 2
     state = _fix_phases(V[:, :1])[:, 0]
     h_state = blas.zgemv(1.0, M.T, state, trans=1)
     energy = float(np.vdot(state, h_state).real)
     residual = np.linalg.norm(h_state - energy * state) / scale
-    return DiscretizedVacuum(n, energy, state, float(residual), it)
+    return DiscretizedVacuum(n, energy, state, float(residual), it, k)
 
 
 def _check_probe_sizes(n_list: list, n_ref: int) -> None:

@@ -291,6 +291,7 @@ class TestHydrogenConvergenceCommand:
         vacua = [vacuum_state(hydrogen_matrix(n, HydrogenParams())) for n in (8, 16, 24, 32)]
         assert fit["max_vacuum_residual"] == max(v.residual for v in vacua)
         assert fit["max_vacuum_iterations"] == max(v.iterations for v in vacua)
+        assert fit["max_certificate_block"] == max(v.certificate_block for v in vacua) == 32
 
     def test_two_points_skip_fit_with_warning(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -114,6 +114,12 @@ def test_decompose_leaves_its_input_alone():
         assert np.array_equal(M, before)
 
 
+def test_coefficients_own_their_data():
+    # a view of the complex work array would keep all of it alive
+    c = decompose(hydrogen_matrix(8)).coeffs
+    assert c.base is None and c.flags.owndata and c.flags.c_contiguous
+
+
 class TestReconstruct:
     def test_identity_coeffs(self):
         M = reconstruct(PauliCoefficients(1, np.array([1.0, 0.0, 0.0, 0.0])))

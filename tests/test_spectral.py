@@ -64,17 +64,32 @@ def test_require_hermitian_finds_one_non_finite_entry_in_any_tile(i, j, bad):
 def test_hermitian_scale_is_the_largest_magnitude(i, j):
     M = random_hermitian(TILED_N, seed=10)
     M[i, j] = M[j, i] = 7.0  # the largest entry, placed in the tile under test
-    checked, scale = spectral._hermitian_and_scale(M)
+    checked, scale, _ = spectral._hermitian_and_scale(M)
     assert scale == np.abs(M).max() == 7.0
     assert checked is M  # complex input is validated in place, not copied
-    checked, scale = spectral._hermitian_and_scale(M.real)
+    checked, scale, _ = spectral._hermitian_and_scale(M.real)
     assert scale == np.abs(M.real).max()
 
 
+def test_off_diagonal_row_sums_are_those_of_the_upper_triangle():
+    M = random_hermitian(TILED_N, seed=11)
+    upper = np.triu(M, 1)
+    _, _, off = spectral._hermitian_and_scale(M)
+    np.testing.assert_allclose(off, np.abs(upper + upper.conj().T).sum(axis=1), rtol=1e-13, atol=0)
+    # entries below the tolerance, in the lower triangle only: M passes, and
+    # the Hermitian matrix its upper triangle defines (what zpotrf reads)
+    # is diagonal
+    D = np.diag(np.arange(1.0, TILED_N + 1)).astype(complex)
+    D[LAST, 3] = 1e-13
+    D[300, 7] = 1e-13j
+    _, _, off = spectral._hermitian_and_scale(D)
+    assert not off.any()
+
+
 def test_require_hermitian_edge_shapes():
-    empty, scale = spectral._hermitian_and_scale(np.zeros((0, 0)))
+    empty, scale, _ = spectral._hermitian_and_scale(np.zeros((0, 0)))
     assert empty.shape == (0, 0) and empty.dtype == complex and scale == 0.0
-    one, scale = spectral._hermitian_and_scale([[-2.5]])
+    one, scale, _ = spectral._hermitian_and_scale([[-2.5]])
     assert one.tolist() == [[-2.5 + 0j]] and scale == 2.5
     with pytest.raises(NonHermitianInput):
         require_hermitian([[1j]])

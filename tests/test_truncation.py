@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.special import digamma, polygamma
 
-from zetavac.errors import GridTooSmall, HermiticityViolation, NonHermitianInput
+from zetavac.errors import ConvergenceFailure, GridTooSmall, HermiticityViolation, NonHermitianInput
 from zetavac.models import hydrogen_element, hydrogen_matrix
 from zetavac.truncation import (
     SobolevWeight,
@@ -152,6 +154,56 @@ def test_vacuum_state_norm_validated():
     v = vacuum_state(hydrogen_matrix(12))
     assert np.linalg.norm(v.state) == pytest.approx(1.0, abs=1e-12)
     assert v.n == 12
+
+
+# Diagonal 1, above the hydrogen minimum q pi / 4, so LOBPCG starts and
+# stays in a hydrogen block beside it; one eigenvalue is 1 - 45/8.
+TRAP = np.eye(10) - 5.0 / 8.0 * (np.ones((10, 10)) - np.eye(10))
+
+
+def _certificate_block_of_failure(H) -> int:
+    with pytest.raises(ConvergenceFailure, match="eigenvalue lies below") as failure:
+        vacuum_state(H)
+    return int(re.search(r"leading block of (\d+) of", str(failure.value)).group(1))
+
+
+def test_certificate_finds_a_trap_in_the_leading_rows():
+    assert np.linalg.eigvalsh(TRAP)[0] == pytest.approx(-4.625)
+    H = scipy.linalg.block_diag(TRAP, hydrogen_matrix(1000))
+    assert 10 <= _certificate_block_of_failure(H) <= 505
+
+
+def test_certificate_finds_a_trap_past_half_the_rows():
+    H = scipy.linalg.block_diag(hydrogen_matrix(1000), TRAP)
+    assert _certificate_block_of_failure(H) == 1010
+
+
+def test_certificate_counts_the_coupling_through_the_leading_block():
+    # X = [[1, 3], [3, 10]] has eigenvalue 0.09, below the hydrogen ground
+    # level; its second row sits at position 600, where its own Gershgorin
+    # disc stays clear of that level, and only the Schur complement term
+    # ||w_i|| sum_j ||w_j|| sees its coupling to the first row at position 0
+    H = scipy.linalg.block_diag([[1.0, 3.0], [3.0, 10.0]], hydrogen_matrix(1000))
+    order = [0] + list(range(2, 601)) + [1] + list(range(601, 1002))
+    H = H[np.ix_(order, order)]
+    assert _certificate_block_of_failure(H) == 1002
+
+
+def test_hydrogen_certified_by_a_leading_block():
+    # the kinetic diagonal dominates every row past the leading block
+    vac = vacuum_state(hydrogen_matrix(1050))
+    assert 0 < vac.certificate_block <= 1050 // 2
+    assert np.linalg.eigvalsh(hydrogen_matrix(1050))[0] >= vac.energy - 1e-10 * 1050**2 / 8
+
+
+@pytest.mark.parametrize("n", [40, 200])
+def test_random_matrix_takes_the_full_factorization(n):
+    # every Gershgorin disc of a random Hermitian matrix reaches its ground level
+    assert vacuum_state(random_hermitian(n, seed=n)).certificate_block == n
+
+
+def test_dominant_diagonal_needs_no_factorization():
+    assert vacuum_state(np.diag([5.0, -2.0, 9.0])).certificate_block == 0
 
 
 def test_sobolev_weight_values():
