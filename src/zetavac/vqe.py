@@ -10,7 +10,7 @@ free.  The classical loop is memoryless natural-gradient descent: one
 batch of P + 1 circuits (the pi-shift parameter-shift rule) gives the
 energy, all P derivatives and the P x 2^(Q+1) tangent matrix R of the
 Fubini-Study metric G = R R^T / 4, and each step goes to the lowest point
-of a batched step grid along -G^+ g, taken from one thin SVD of R.
+of one batched grid of 22 steps along -G^+ g, taken from one thin SVD of R.
 Energies are quadratic forms of the reconstructed matrix.  Word
 expectations, the quantities a device measures and the input of
 ``sampled_energy``, come from the package's one Pauli transform:
@@ -19,7 +19,6 @@ expectations, the quantities a device measures and the input of
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -205,9 +204,10 @@ def _params_hash(params: np.ndarray) -> str:
     return hashlib.sha256(params.tobytes()).hexdigest()[:16]
 
 
-# the line search's step grids: the coarse pass around step 1 and the fallback pass down to 1e-7
-_COARSE_STEPS = np.geomspace(1.0 / 32.0, 4.0, 12)
-_FALLBACK_STEPS = np.geomspace(1e-7, 1.0 / 64.0, 10)
+# the line search's steps, propagated as one batch: the _N_LONG long ones around
+# step 1 win when one descends, the short ones down to 1e-7 only when none does
+_N_LONG = 12
+_STEPS = np.concatenate((np.geomspace(1.0 / 32.0, 4.0, _N_LONG), np.geomspace(1e-7, 1.0 / 64.0, 10)))
 
 # metric eigenvalues below this fraction of the largest are dropped from -G^+ g.
 # It stays at rounding level: at Q = 5, 8 layers, cutoffs of 1e-8 and 1e-6 were
@@ -244,13 +244,14 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
     the Fubini-Study metric G = R R^T / 4 at a point (``_energy_and_gradient``).
     One thin SVD R = U S V^T gives the eigenpairs (S^2 / 4, U) of G, at most
     2^(Q+1) of them, and d = -G^+ g from those above ``_METRIC_CUTOFF`` times
-    the largest, with no P x P matrix.  Each step goes along d to the lowest
-    point of a batched grid: 12 log-spaced steps around length 1, and 10
-    down to 1e-7 only when none of those descends, each grid one propagation.  When neither descends along d, both run
-    along -g, and the run returns once that finds nothing either.  Nothing
-    but the point carries between iterations, and an iteration is a grid
-    and one batch at the new point.  The trace records (iteration, energy,
-    gradient_norm, params_hash) rows ready for JSON-lines serialization.
+    the largest, with no P x P matrix.  One 22-row propagation is the line
+    search along d: 12 log-spaced long steps, 1/32..4, and 10 short ones,
+    1e-7..1/64.  The lowest long step that descends wins, else the lowest
+    short one; when none descends, the run has converged and returns.
+    Nothing but the point carries between iterations, so an iteration is
+    exactly two propagations, the grid and the batch at the new point.
+    The trace records (iteration, energy, gradient_norm, params_hash) rows
+    ready for JSON-lines serialization.
 
     When max_iter iterations pass first, the run was cut off, not finished:
     the result has ``converged`` False and its trace ends with a row for
@@ -280,16 +281,14 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
         lam = S**2 / 4.0  # the eigenvalues of G, largest first
         keep = lam > _METRIC_CUTOFF * lam[0]
         d = -U[:, keep] @ ((U[:, keep].T @ g) / lam[keep])
-        # coarse, then fallback grid along d, then both along -g, up to the first that descends
-        for direction, steps in itertools.product((d, -g), (_COARSE_STEPS, _FALLBACK_STEPS)):
-            psi = _propagate(spec, x + steps[:, None] * direction)
-            vals = ((psi.conj() @ H) * psi).sum(axis=1).real
-            i = int(np.argmin(vals))
-            if vals[i] < fx:
-                break
-        else:  # nothing below fx along either
+        psi = _propagate(spec, x + _STEPS[:, None] * d)
+        vals = ((psi.conj() @ H) * psi).sum(axis=1).real
+        i = int(np.argmin(vals[:_N_LONG]))
+        if not vals[i] < fx:  # no long step descends: the lowest short one
+            i = _N_LONG + int(np.argmin(vals[_N_LONG:]))
+        if not vals[i] < fx:  # nothing below fx
             return MinimizeResult(x, fx, trace)
-        x = x + steps[i] * direction
+        x = x + _STEPS[i] * d
         fx, g, R = _energy_and_gradient(spec, H, x)
 
 
@@ -318,10 +317,11 @@ def warm_started_chain(coeff_list, layers: int, cfg: OptimizerConfig, restarts: 
     ``coeff_list`` holds PauliCoefficients for Q = 1, 2, ... qubits in
     order.  Each stage starts from the previous optimum embedded one
     qubit up (the first from the seeded random point minimize draws);
-    when a run stalls it is retried up to ``restarts`` times from seeded
-    perturbations of the best parameters so far, wider with every retry,
-    keeping the best result seen.  Returns a list of MinimizeResult, with
-    ``converged`` False where the kept result is a stalled attempt.
+    when a run is cut off by ``max_iter`` it is retried up to ``restarts``
+    times from seeded perturbations of the best parameters so far, wider
+    with every retry, keeping the best result seen.  Returns a list of
+    MinimizeResult, with ``converged`` False where the kept result is a
+    cut-off attempt.
     Raises ValueError for ``restarts`` < 0, which would run no attempt.
     """
     if restarts < 0:

@@ -11,8 +11,8 @@ Single-word cases pin individual expectations to their known values.
 The (P + 1)-row gradient is checked against the +-pi/2 shift rule and
 central differences, the Fubini-Study metric of its tangent matrix and
 the optimizer's step direction against a metric built from
-central-difference tangents, the optimizer's propagation count against
-its two-per-iteration budget, and its linear algebra against one thin
+central-difference tangents, the optimizer's propagations against
+exactly two per iteration, and its linear algebra against one thin
 SVD per iteration.  Optimizer tests pin the
 small-qubit hydrogen values that the nested chain must hit.
 """
@@ -39,9 +39,8 @@ from zetavac.vqe import (
     warm_started_chain,
 )
 from zetavac.vqe import (
-    _COARSE_STEPS,
-    _FALLBACK_STEPS,
     _METRIC_CUTOFF,
+    _STEPS,
     _energy_and_gradient,
     _params_hash,
     _propagate,
@@ -342,38 +341,9 @@ class TestMinimize:
         with pytest.raises(SpecMismatch):
             minimize(AnsatzSpec(2, 1), c, OptimizerConfig())
 
-    def test_iteration_takes_two_propagations(self, monkeypatch):
-        # an iteration is a coarse grid and one (P + 1)-row gradient batch
-        # at the grid winner, plus the fallback grid when the coarse grid
-        # finds nothing, plus the grids along -g when neither finds anything
-        # along the natural direction; the start point takes one batch
-        spec = AnsatzSpec(3, 8)
-        P = spec.n_params
-        batches = []
-        propagate = vqe._propagate
-
-        def counting(spec_, params):
-            batches.append(np.array(params))
-            return propagate(spec_, params)
-
-        monkeypatch.setattr(vqe, "_propagate", counting)
-        res = minimize(spec, decompose(hydrogen_matrix(8)), OptimizerConfig(seed=0))
-        rows = [b.shape[0] for b in batches]
-        assert set(rows) <= {_COARSE_STEPS.size, _FALLBACK_STEPS.size, P + 1}
-        fallback = rows.count(_FALLBACK_STEPS.size)
-        # a coarse grid that does not follow a gradient batch searches along -g
-        retries = sum(cur == _COARSE_STEPS.size and prev != P + 1 for prev, cur in zip(rows, rows[1:]))
-        assert len(batches) <= 2 * len(res.trace) + fallback + retries + 1
-
-    @pytest.mark.parametrize("Q", [1, 2, 3, 4, 5])
-    def test_step_direction_is_pseudo_inverse_of_metric_times_gradient(self, Q, monkeypatch):
-        # the first grid runs along d = -G^+ g; recovered from its longest
-        # step against the pseudo-inverse of the central-difference metric,
-        # eigenvalues at or below _METRIC_CUTOFF times the largest dropped
-        # (seen: <= 8.9e-9 relative, at Q = 5)
-        spec = AnsatzSpec(Q, 8)
-        c = decompose(hydrogen_matrix(1 << Q))
-        x = np.random.default_rng(50 + Q).uniform(-math.pi, math.pi, spec.n_params)
+    @staticmethod
+    def _recorded_batches(monkeypatch):
+        """The list every parameter batch minimize propagates is appended to."""
         batches = []
         propagate = vqe._propagate
 
@@ -382,10 +352,55 @@ class TestMinimize:
             return propagate(spec_, params)
 
         monkeypatch.setattr(vqe, "_propagate", recording)
+        return batches
+
+    def test_iteration_takes_two_propagations(self, monkeypatch):
+        # the start point takes one (P + 1)-row batch; every iteration is
+        # one 22-row step grid and one (P + 1)-row batch at its winner; a
+        # converged run ends on the grid that found no descent, a run cut
+        # off at max_iter = k after 1 + 2k batches
+        spec = AnsatzSpec(3, 8)
+        P = spec.n_params
+        c = decompose(hydrogen_matrix(8))
+        batches = self._recorded_batches(monkeypatch)
+        for max_iter, converged in ((25000, True), (5, False)):
+            batches.clear()
+            res = minimize(spec, c, OptimizerConfig(seed=0, max_iter=max_iter))
+            assert res.converged is converged
+            rows = [b.shape[0] for b in batches]
+            steps = len(res.trace) - 1
+            assert rows == [P + 1] + [_STEPS.size, P + 1] * steps + [_STEPS.size] * converged
+            if not converged:
+                assert len(rows) == 1 + 2 * max_iter
+
+    def test_converged_point_takes_one_grid(self, monkeypatch):
+        # restarted at the point a converged run stopped at, the run finds
+        # no descent along d in its first grid and returns: two propagations
+        spec = AnsatzSpec(1, 8)
+        c = decompose(hydrogen_matrix(2))
+        first = minimize(spec, c, OptimizerConfig(seed=0))
+        assert first.converged
+        batches = self._recorded_batches(monkeypatch)
+        again = minimize(spec, c, OptimizerConfig(seed=0), initial=first.params)
+        assert again.converged and len(again.trace) == 1
+        assert again.energy == first.energy
+        assert [b.shape[0] for b in batches] == [spec.n_params + 1, _STEPS.size]
+
+    @pytest.mark.parametrize("Q", [1, 2, 3, 4, 5])
+    def test_step_direction_is_pseudo_inverse_of_metric_times_gradient(self, Q, monkeypatch):
+        # the step grid runs along d = -G^+ g; recovered from its longest
+        # step (4.0) against the pseudo-inverse of the central-difference metric,
+        # eigenvalues at or below _METRIC_CUTOFF times the largest dropped
+        # (seen: <= 8.9e-9 relative, at Q = 5)
+        spec = AnsatzSpec(Q, 8)
+        c = decompose(hydrogen_matrix(1 << Q))
+        x = np.random.default_rng(50 + Q).uniform(-math.pi, math.pi, spec.n_params)
+        batches = self._recorded_batches(monkeypatch)
         minimize(spec, c, OptimizerConfig(max_iter=1), initial=x)
         grid = batches[1]
-        assert grid.shape == (_COARSE_STEPS.size, spec.n_params)
-        d = (grid[-1] - x) / _COARSE_STEPS[-1]
+        assert grid.shape == (_STEPS.size, spec.n_params)
+        k = int(np.argmax(_STEPS))
+        d = (grid[k] - x) / _STEPS[k]
         _, g, _ = _energy_and_gradient(spec, reconstruct(c), x)
         metric = _central_difference_metric(spec, x)
         oracle = -np.linalg.pinv(metric, rcond=_METRIC_CUTOFF, hermitian=True) @ g
@@ -420,7 +435,7 @@ class TestMinimize:
 class TestWarmStartedChain:
     def test_restarts_when_every_attempt_stalls(self):
         # max_iter=3 cuts off every attempt, so each stage goes through
-        # all its restarts and keeps the best stalled attempt
+        # all its restarts and keeps the best cut-off attempt
         coeffs = [decompose(hydrogen_matrix(1 << Q)) for Q in (1, 2, 3)]
         exact = [float(np.linalg.eigvalsh(reconstruct(c))[0]) for c in coeffs]
         cfg = OptimizerConfig(max_iter=3)
