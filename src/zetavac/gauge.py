@@ -122,10 +122,13 @@ def _ground_sums(system: EigenSystem, zs, A=None) -> np.ndarray:
 
 
 def _operands(H, A, system: EigenSystem | None):
-    """The eigensystem of H (``system`` when given) and A (None or a complex matrix of its size)."""
+    """The eigensystem of H (``system`` when given, for an H of its size) and A
+    (None or a complex matrix of its size)."""
     A = None if A is None else np.asarray(A, dtype=complex)
     if system is None:
         system = eig_hermitian(H)
+    elif np.shape(H) != (system.dim, system.dim):
+        raise DimensionMismatch(f"Hamiltonian {np.shape(H)} vs eigensystem dim {system.dim}")
     if A is not None and A.shape != (system.dim, system.dim):
         raise DimensionMismatch(f"operator {A.shape} vs Hamiltonian dim {system.dim}")
     return system, A

@@ -186,17 +186,12 @@ def sampled_energy(state, c: PauliCoefficients, shots: int, seed: int = 0):
     """
     if shots < 2:
         raise ValueError(f"shots must be at least 2 for a standard error, got {shots}")
-    rng = np.random.default_rng(seed)
-    exps = np.clip(_word_expectations(state, c), -1.0, 1.0)
-    estimate = c.coeffs[0]
-    var = 0.0
-    for q in range(1, 4**c.qubits):
-        if c.coeffs[q] == 0.0:
-            continue
-        ones = rng.binomial(shots, (1.0 + exps[q]) / 2.0)
-        mean = (2.0 * ones - shots) / shots
-        estimate += c.coeffs[q] * mean
-        var += c.coeffs[q] ** 2 * (1.0 - mean**2) / (shots - 1)
+    q = np.flatnonzero(c.coeffs[1:]) + 1  # the measured words, drawn in this order
+    exps = np.clip(_word_expectations(state, c)[q], -1.0, 1.0)
+    ones = np.random.default_rng(seed).binomial(shots, (1.0 + exps) / 2.0)
+    mean = (2.0 * ones - shots) / shots
+    estimate = c.coeffs[0] + c.coeffs[q] @ mean
+    var = c.coeffs[q] ** 2 @ (1.0 - mean**2) / (shots - 1)
     return float(estimate), float(np.sqrt(var))
 
 
@@ -204,10 +199,9 @@ def _params_hash(params: np.ndarray) -> str:
     return hashlib.sha256(params.tobytes()).hexdigest()[:16]
 
 
-# the line search's steps, propagated as one batch: the _N_LONG long ones around
-# step 1 win when one descends, the short ones down to 1e-7 only when none does
-_N_LONG = 12
-_STEPS = np.concatenate((np.geomspace(1.0 / 32.0, 4.0, _N_LONG), np.geomspace(1e-7, 1.0 / 64.0, 10)))
+# the line search's steps, propagated as one batch: 12 long ones around step 1 and
+# 10 short ones down to 1e-7; the step taken is the lowest of all 22 when it descends
+_STEPS = np.concatenate((np.geomspace(1.0 / 32.0, 4.0, 12), np.geomspace(1e-7, 1.0 / 64.0, 10)))
 
 # metric eigenvalues below this fraction of the largest are dropped from -G^+ g.
 # It stays at rounding level: at Q = 5, 8 layers, cutoffs of 1e-8 and 1e-6 were
@@ -246,8 +240,8 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
     2^(Q+1) of them, and d = -G^+ g from those above ``_METRIC_CUTOFF`` times
     the largest, with no P x P matrix.  One 22-row propagation is the line
     search along d: 12 log-spaced long steps, 1/32..4, and 10 short ones,
-    1e-7..1/64.  The lowest long step that descends wins, else the lowest
-    short one; when none descends, the run has converged and returns.
+    1e-7..1/64.  The step taken is the lowest of all 22 energies when it
+    is below the current one; when none is, the run has converged and returns.
     Nothing but the point carries between iterations, so an iteration is
     exactly two propagations, the grid and the batch at the new point.
     The trace records (iteration, energy, gradient_norm, params_hash) rows
@@ -283,9 +277,7 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
         d = -U[:, keep] @ ((U[:, keep].T @ g) / lam[keep])
         psi = _propagate(spec, x + _STEPS[:, None] * d)
         vals = ((psi.conj() @ H) * psi).sum(axis=1).real
-        i = int(np.argmin(vals[:_N_LONG]))
-        if not vals[i] < fx:  # no long step descends: the lowest short one
-            i = _N_LONG + int(np.argmin(vals[_N_LONG:]))
+        i = int(np.argmin(vals))
         if not vals[i] < fx:  # nothing below fx
             return MinimizeResult(x, fx, trace)
         x = x + _STEPS[i] * d

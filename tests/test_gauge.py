@@ -211,6 +211,25 @@ def test_guard_first_raise_table(n):
     assert got == _FIRST_RAISE[n]
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda H, system: gauge_ratio(H, position_matrix(8), 0.3, system=system),
+        lambda H, system: damped_trace_ratio(H, position_matrix(8), 0.3, 10.0, 0.1, system=system),
+        lambda H, system: denominator_zero_scan(H, ZGrid(points=[0.3]), system=system),
+    ],
+    ids=["gauge_ratio", "damped_trace_ratio", "denominator_zero_scan"],
+)
+def test_system_must_match_hamiltonian_shape(evaluate):
+    # a precomputed eigensystem stands in for H only when H has its size;
+    # any other H, or none, is a caller error, not a value
+    system = eig_hermitian(hydrogen_matrix(8))
+    evaluate(hydrogen_matrix(8), system)
+    for H in (hydrogen_matrix(16), "not a matrix", None):
+        with pytest.raises(DimensionMismatch):
+            evaluate(H, system)
+
+
 def _collapsing_at_three(n):
     """Diagonal H whose smallest eigenvalue is 1e-13 at n = 3 only, so z = 1
     collapses there and keeps its ratio and denominator at n = 2 and 4."""

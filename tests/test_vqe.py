@@ -12,8 +12,10 @@ The (P + 1)-row gradient is checked against the +-pi/2 shift rule and
 central differences, the Fubini-Study metric of its tangent matrix and
 the optimizer's step direction against a metric built from
 central-difference tangents, the optimizer's propagations against
-exactly two per iteration, and its linear algebra against one thin
-SVD per iteration.  Optimizer tests pin the
+exactly two per iteration, each step against the lowest energy of its
+grid, and its linear algebra against one thin SVD per iteration.
+``sampled_energy`` is checked against a word-by-word loop of scalar
+draws.  Optimizer tests pin the
 small-qubit hydrogen values that the nested chain must hit.
 """
 import math
@@ -266,6 +268,45 @@ class TestSampledEnergy:
                     )
         assert min(abs(est - v) for v in possible) < 1e-12
 
+    @pytest.mark.parametrize("Q", [1, 3, 5])
+    def test_matches_word_by_word_loop(self, Q, monkeypatch):
+        # one binomial draw over the measured words gives the counts of one
+        # scalar draw per word in word order; the sums then run in another
+        # order, so the estimate and standard error agree to rounding
+        c = decompose(hydrogen_matrix(1 << Q))
+        rng = np.random.default_rng(60 + Q)
+        psi = rng.normal(size=1 << Q) + 1j * rng.normal(size=1 << Q)
+        psi /= np.linalg.norm(psi)
+        shots, seed = 20_000, 9
+        exps = np.clip(_word_expectations(psi, c), -1.0, 1.0)
+        ref_rng = np.random.default_rng(seed)
+        want_ones, want_est, want_var = [], c.coeffs[0], 0.0
+        for q in range(1, 4**Q):
+            if c.coeffs[q] == 0.0:
+                continue
+            ones = ref_rng.binomial(shots, (1.0 + exps[q]) / 2.0)
+            mean = (2.0 * ones - shots) / shots
+            want_ones.append(ones)
+            want_est += c.coeffs[q] * mean
+            want_var += c.coeffs[q] ** 2 * (1.0 - mean**2) / (shots - 1)
+
+        drawn = []
+        default_rng = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed_):
+                self.rng = default_rng(seed_)
+
+            def binomial(self, n, p):
+                drawn.append(self.rng.binomial(n, p))
+                return drawn[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        est, err = sampled_energy(psi, c, shots=shots, seed=seed)
+        assert len(drawn) == 1 and np.array_equal(drawn[0], want_ones)
+        assert est == pytest.approx(want_est, rel=1e-14)
+        assert err == pytest.approx(math.sqrt(want_var), rel=1e-14)
+
     def test_shots_validated(self):
         # a standard error needs two shots; one would report 0.0
         c = PauliCoefficients(1, np.zeros(4))
@@ -385,6 +426,33 @@ class TestMinimize:
         assert again.converged and len(again.trace) == 1
         assert again.energy == first.energy
         assert [b.shape[0] for b in batches] == [spec.n_params + 1, _STEPS.size]
+
+    def test_step_goes_to_lowest_grid_energy(self, monkeypatch):
+        # each accepted step lands on the lowest of the 22 grid energies,
+        # long or short; preferring a descending long step over a lower
+        # short one skipped the lowest in most Q = 4 iterations.  The taken
+        # row is found by the next trace row's params_hash; its energy there
+        # comes from a one-row contraction, so it may differ in the last bit
+        spec = AnsatzSpec(4, 8)
+        c = decompose(hydrogen_matrix(16))
+        H = reconstruct(c)
+        grids = []
+        propagate = vqe._propagate
+
+        def recording(spec_, params):
+            psi = propagate(spec_, params)
+            if params.shape[0] == _STEPS.size:
+                vals = ((psi.conj() @ H) * psi).sum(axis=1).real  # minimize's contraction
+                grids.append(([_params_hash(p) for p in params], vals))
+            return psi
+
+        monkeypatch.setattr(vqe, "_propagate", recording)
+        res = minimize(spec, c, OptimizerConfig(seed=0))
+        assert res.converged and len(grids) == len(res.trace)
+        for (hashes, vals), row in zip(grids, res.trace[1:]):
+            taken = vals[hashes.index(row["params_hash"])]
+            assert taken == vals.min()
+            assert row["energy"] == pytest.approx(taken, rel=1e-15)
 
     @pytest.mark.parametrize("Q", [1, 2, 3, 4, 5])
     def test_step_direction_is_pseudo_inverse_of_metric_times_gradient(self, Q, monkeypatch):
