@@ -73,17 +73,24 @@ class WindowedFit:
     achieved_residual: float
 
 
+def _check_series(x: np.ndarray, e: np.ndarray) -> None:
+    """Shape check, and DegenerateFit for a NaN or infinite error."""
+    if x.shape != e.shape or x.ndim != 1:
+        raise ValueError(f"abscissa {x.shape} and errors {e.shape} must be equal-length 1-d")
+    if not np.isfinite(e).all():
+        raise DegenerateFit(f"errors must be finite, got {e[~np.isfinite(e)][0]}")
+
+
 def fit_exponential(abscissa, errors) -> ExponentialFit:
     """Fit errors ~ a*exp(-b*x) by ordinary least squares on log(errors).
 
-    Zero errors are clipped to 1e-300 before the log.  Fewer than three
-    positive-error points, or an all-equal error vector, cannot pin the
-    two parameters and raise DegenerateFit.
+    Zero errors are clipped to 1e-300 before the log.  A NaN or infinite
+    error, fewer than three positive-error points, or an all-equal error
+    vector cannot pin the two parameters and raise DegenerateFit.
     """
     x = np.asarray(abscissa, dtype=float)
     e = np.asarray(errors, dtype=float)
-    if x.shape != e.shape or x.ndim != 1:
-        raise ValueError(f"abscissa {x.shape} and errors {e.shape} must be equal-length 1-d")
+    _check_series(x, e)
     if np.count_nonzero(e > 0.0) < 3:
         raise DegenerateFit(f"need at least 3 positive errors, got {np.count_nonzero(e > 0.0)}")
     y = np.log(np.clip(e, 1e-300, None))
@@ -109,40 +116,50 @@ def fit_exponential_window(abscissa, errors) -> WindowedFit:
     near the end, where the distance to the reference value eats into the
     measured error; a straight log-linear fit over all points then reports
     a rate biased by both ends.  This fit scans every contiguous window of
-    at least 5 points, keeps those whose log-errors a decaying line
-    explains to within 0.15 at every point, and fits on the longest such
-    window, preferring the right-most (the asymptotic regime) and then the
-    smallest residual on ties.  If no window qualifies, the tolerance is
-    doubled until one does, so a fit is always returned.  Series shorter
-    than 5 points fall back to the plain full-range fit.
+    at least 5 positive errors, keeps those whose log-errors a decaying
+    line explains to within 0.15 at every point, and fits on the longest
+    such window, preferring the right-most (the asymptotic regime).  If no
+    window qualifies, the tolerance is doubled until one does, so a fit is
+    always returned.  Series shorter than 5 points fall back to the plain
+    full-range fit, and a NaN or infinite error raises DegenerateFit.
+
+    Every window's line comes from prefix sums of x and log(errors) at
+    once.  Length and stop identify a window, so its residual only decides
+    whether it qualifies; the chosen window's ``achieved_residual`` comes
+    from its own ``polyfit``.
     """
     x = np.asarray(abscissa, dtype=float)
     e = np.asarray(errors, dtype=float)
-    if x.shape != e.shape or x.ndim != 1:
-        raise ValueError(f"abscissa {x.shape} and errors {e.shape} must be equal-length 1-d")
+    _check_series(x, e)
+    y = np.log(np.clip(e, 1e-300, None))
     if x.size < _MIN_WINDOW:
         fit = fit_exponential(x, e)
-        y = np.log(np.clip(e, 1e-300, None))
         resid = np.abs(y - (np.log(fit.amplitude) - fit.rate * x)).max()
         return WindowedFit(fit, 0, int(x.size), float(resid))
-    y = np.log(np.clip(e, 1e-300, None))
-    candidates = []
-    for i in range(x.size - _MIN_WINDOW + 1):
-        for j in range(i + _MIN_WINDOW, x.size + 1):
-            if np.any(e[i:j] <= 0.0):
-                continue
-            slope, intercept = np.polyfit(x[i:j], y[i:j], 1)
-            if slope >= 0.0:  # not a decaying stretch
-                continue
-            resid = float(np.abs(y[i:j] - (slope * x[i:j] + intercept)).max())
-            candidates.append((j - i, j, -resid, i))
-    if not candidates:
+    # windows [start, stop) of at least _MIN_WINDOW points, all errors positive
+    start, stop = np.triu_indices(x.size + 1, _MIN_WINDOW)
+    zeros = np.concatenate(([0], np.cumsum(e <= 0.0)))
+    keep = zeros[stop] == zeros[start]
+    start, stop = start[keep], stop[keep]
+    xc = x - x.mean()  # centred, so the sums below cancel less
+    sums = np.zeros((5, x.size + 1))
+    np.cumsum([np.ones_like(xc), xc, y, xc * xc, xc * y], axis=1, out=sums[:, 1:])
+    s1, sx, sy, sxx, sxy = sums[:, stop] - sums[:, start]
+    slope = (s1 * sxy - sx * sy) / (s1 * sxx - sx * sx)
+    intercept = (sy - slope * sx) / s1
+    pos = np.arange(x.size)
+    inside = (pos >= start[:, None]) & (pos < stop[:, None])
+    line = slope[:, None] * xc + intercept[:, None]
+    resid = np.where(inside, np.abs(y - line), 0.0).max(axis=1)
+    decaying = slope < 0.0
+    if not decaying.any():
         raise DegenerateFit(f"no decaying window of {_MIN_WINDOW} or more points")
     tol = _MAX_LOG_RESIDUAL
-    while True:
-        windows = [c for c in candidates if -c[2] <= tol]
-        if windows:
-            break
+    while tol < resid[decaying].min():
         tol *= 2.0
-    _, j, neg_resid, i = max(windows)
-    return WindowedFit(fit_exponential(x[i:j], e[i:j]), i, j, -neg_resid)
+    best = np.flatnonzero(decaying & (resid <= tol))
+    w = best[np.lexsort((stop[best], stop[best] - start[best]))[-1]]
+    i, j = int(start[w]), int(stop[w])
+    slope, intercept = np.polyfit(x[i:j], y[i:j], 1)
+    resid = float(np.abs(y[i:j] - (slope * x[i:j] + intercept)).max())
+    return WindowedFit(fit_exponential(x[i:j], e[i:j]), i, j, resid)

@@ -58,6 +58,11 @@ def hydrogen_element(l: int, k: int, params: HydrogenParams = HydrogenParams()) 
     return params.q * ((-1.0) ** d * (1.0 - 1j * np.pi * d) - 1.0) / (2.0 * np.pi * d * d)
 
 
+# Bytes of the row block _gather_by_difference copies at a time, so the
+# block's gathered windows stay a few hundred KB at any n.
+_GATHER_BYTES = 1 << 18
+
+
 def _gather_by_difference(table: np.ndarray, md: np.ndarray, diagonal) -> np.ndarray:
     """Matrix with entry ``table[n + md[j] - md[i]]`` at (i, j), then ``diagonal``.
 
@@ -65,15 +70,19 @@ def _gather_by_difference(table: np.ndarray, md: np.ndarray, diagonal) -> np.nda
     over the differences -n..n replaces n x n integer and complex
     temporaries.  Even columns carry the modes 0, 1, 2, ... and odd ones
     -1, -2, ..., so each row is two sliding windows over the table: its
-    even entries read it forwards and its odd entries backwards.
+    even entries read it forwards and its odd entries backwards.  Blocks
+    of rows gather their windows from two sliding-window views at once.
     """
     n = md.shape[0]
     M = np.empty((n, n), dtype=table.dtype)
-    n_even, n_odd = (n + 1) // 2, n // 2
-    backwards = table[::-1]
-    for i, start in enumerate((n - md).tolist()):
-        M[i, 0::2] = table[start : start + n_even]
-        M[i, 1::2] = backwards[2 * n + 1 - start : 2 * n + 1 - start + n_odd]
+    windows = np.lib.stride_tricks.sliding_window_view
+    forwards, backwards = windows(table, (n + 1) // 2), windows(table[::-1], n // 2)
+    start = n - md
+    rows = max(1, _GATHER_BYTES // (n * table.itemsize))
+    for i in range(0, n, rows):
+        s = start[i : i + rows]
+        M[i : i + rows, 0::2] = forwards[s]
+        M[i : i + rows, 1::2] = backwards[2 * n + 1 - s]
     np.fill_diagonal(M, diagonal)
     return M
 

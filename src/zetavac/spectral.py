@@ -23,8 +23,9 @@ __all__ = [
 
 
 # Side of the square tiles require_hermitian compares with their mirrors;
-# a tile pair and its scratch buffers stay in a core's cache.
-_TILE = 256
+# a tile pair and its scratch buffers stay in a core's cache.  128 was
+# the fastest of 32..256 over the sizes of the default convergence sweep.
+_TILE = 128
 
 # Largest |M - M^H| entry allowed, relative to max|M|.
 _HERMITIAN_TOL = 1e-12
@@ -34,13 +35,17 @@ def _hermitian_and_scale(M):
     """``require_hermitian``, also returning max|M| and off-diagonal row sums.
 
     Each upper-triangle tile is compared with the conjugate of its mirror
-    tile, and both tiles give their largest magnitude while they are in
-    cache, so every entry is read once and no n x n temporary is formed.
-    The same |upper| tiles give ``off[i]``, the sum of |M_ij| over j != i
-    of the Hermitian matrix that M's upper triangle defines, the matrix a
-    LAPACK routine reading that triangle sees: each tile adds its row sums
-    to its rows and its column sums to the mirror rows.  max|M| is 0.0
-    for an empty matrix.
+    tile, so every entry is read once and no n x n temporary is formed.
+    max|M| and ``off[i]`` are taken from the |upper| tiles while they are
+    in cache: max|M| over the upper triangle, diagonal included, and
+    ``off[i]`` the sum of |M_ij| over j != i, both of the Hermitian matrix
+    that M's upper triangle defines, the matrix a LAPACK routine reading
+    that triangle sees.  Each tile adds its row sums to its rows and its
+    column sums to the mirror rows.  For exactly Hermitian input max|M| is
+    that of the whole matrix; an asymmetry within the tolerance can put
+    the whole matrix's max|M| above it by at most 1e-12 times it.  A mirror tile enters only through upper - conj(lower^T),
+    so a NaN or inf there still makes a deviation non-finite and is
+    rejected.  max|M| is 0.0 for an empty matrix.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -56,22 +61,24 @@ def _hermitian_and_scale(M):
             upper, lower = M[i : i + b, j : j + b], M[j : j + b, i : i + b]
             h, w = upper.shape
             a = np.abs(upper, out=mag[: h * w].reshape(h, w))
-            upper_max = a.max()
-            if j == i:  # a diagonal tile holds its own mirror: keep its strict upper part
-                np.copyto(a, 0.0, where=np.tri(h, dtype=bool))
-            off[i : i + h] += a.sum(axis=1)
-            off[j : j + w] += a.sum(axis=0)
-            lower_max = np.abs(lower, out=mag[: h * w].reshape(w, h)).max() if j != i else upper_max
-            # max and np.maximum (unlike Python's max) propagate NaN, and
-            # |inf| is inf, so this finds both
-            tile_max = np.maximum(upper_max, lower_max)
+            if j == i:  # a diagonal tile holds its own mirror: keep its upper part
+                np.copyto(a, 0.0, where=np.tri(h, k=-1, dtype=bool))
+            tile_max = a.max()
+            # max propagates NaN, and |inf| is inf, so this finds both
             if not np.isfinite(tile_max):
                 raise NonHermitianInput("matrix has non-finite entries")
             scale = max(scale, tile_max)
+            if j == i:  # and of that, the strict upper part for the row sums
+                np.fill_diagonal(a, 0.0)
+            off[i : i + h] += a.sum(axis=1)
+            off[j : j + w] += a.sum(axis=0)
             # |M_ij - conj(M_ji)| = |M - M^H| entry by entry
             d = np.conjugate(lower.T, out=diff[: h * w].reshape(h, w))
             np.subtract(upper, d, out=d)
-            dev = max(dev, np.abs(d, out=mag[: h * w].reshape(h, w)).max())
+            tile_dev = np.abs(d, out=a).max()
+            if not np.isfinite(tile_dev):  # so does this, in the mirror tile
+                raise NonHermitianInput("matrix has non-finite entries")
+            dev = max(dev, tile_dev)
     if dev > _HERMITIAN_TOL * max(scale, 1e-300):
         raise NonHermitianInput(
             f"matrix deviates from Hermitian symmetry by {dev:.3e} "
@@ -83,9 +90,10 @@ def _hermitian_and_scale(M):
 def require_hermitian(M) -> np.ndarray:
     """Validate Hermitian symmetry and return ``M`` as a complex array.
 
-    The 1e-12 tolerance is relative to the largest entry magnitude, so matrices
-    assembled from floating-point arithmetic pass as long as their
-    asymmetry is at rounding level.  NaN or infinite entries are rejected,
+    The 1e-12 tolerance is relative to the largest entry magnitude of the
+    upper triangle, diagonal included, so matrices assembled from
+    floating-point arithmetic pass as long as their asymmetry is at
+    rounding level.  NaN or infinite entries are rejected,
     since no symmetry test can hold on them; so is an entry whose
     magnitude overflows.
     """

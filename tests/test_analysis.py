@@ -143,3 +143,68 @@ class TestFitExponentialWindow:
         w = fit_exponential_window(n, e)
         assert isinstance(w, WindowedFit)
         assert w.stop - w.start >= 5
+
+
+@pytest.mark.parametrize(
+    "fit, x, e",
+    [
+        (fit_exponential_window, np.arange(1.0, 9.0), np.full(8, np.nan)),
+        (fit_exponential_window, np.arange(1.0, 5.0), [1.0, np.nan, 0.1, 0.01]),
+        (fit_exponential_window, np.arange(1.0, 5.0), [1.0, np.inf, 0.1, 0.01]),
+        (fit_exponential_window, np.arange(1.0, 13.0), np.r_[np.exp(-np.arange(1.0, 12.0)), np.inf]),
+        (fit_exponential, np.arange(1.0, 6.0), [1.0, 0.5, np.nan, 0.1, 0.05]),
+        (fit_exponential, np.arange(1.0, 6.0), [1.0, 0.5, -np.inf, 0.1, 0.05]),
+    ],
+    ids=["window-all-nan", "window-short-nan", "window-short-inf", "window-long-inf", "fit-nan", "fit-minus-inf"],
+)
+def test_non_finite_errors_raise(fit, x, e):
+    with pytest.raises(DegenerateFit, match="finite"):
+        fit(x, e)
+
+
+def _window_by_polyfit_loop(x, e):
+    """Window, rate and residual of one ``polyfit`` per candidate window."""
+    y = np.log(np.clip(e, 1e-300, None))
+    candidates = []
+    for i in range(x.size - 4):
+        for j in range(i + 5, x.size + 1):
+            if np.any(e[i:j] <= 0.0):
+                continue
+            slope, intercept = np.polyfit(x[i:j], y[i:j], 1)
+            if slope < 0.0:
+                resid = float(np.abs(y[i:j] - (slope * x[i:j] + intercept)).max())
+                candidates.append((j - i, j, -resid, i))
+    tol = 0.15
+    while not any(-c[2] <= tol for c in candidates):
+        tol *= 2.0
+    _, j, neg_resid, i = max(c for c in candidates if -c[2] <= tol)
+    return i, j, fit_exponential(x[i:j], e[i:j]).rate, -neg_resid
+
+
+def _sweep_errors(hydrogen_vacuum, sizes, n_ref):
+    energies = [hydrogen_vacuum(n).energy for n in sizes]
+    series = ConvergenceSeries(np.array(sizes), np.array(energies), hydrogen_vacuum(n_ref).energy)
+    return relative_errors(series)
+
+
+@pytest.mark.parametrize("case", ["sweep", "qubits", "zero-errors", "tolerance-doubling"])
+def test_window_scan_matches_polyfit_loop(case, hydrogen_vacuum):
+    if case == "sweep":  # hydrogen-convergence defaults
+        x = np.arange(50.0, 1001.0, 50.0)
+        e = _sweep_errors(hydrogen_vacuum, list(range(50, 1001, 50)), 1050)
+    elif case == "qubits":  # hydrogen-convergence mode=qubits
+        x = np.arange(1.0, 12.0)
+        e = _sweep_errors(hydrogen_vacuum, [1 << q for q in range(1, 12)], 4096)
+    elif case == "zero-errors":
+        x = np.arange(1.0, 25.0)
+        e = np.exp(-0.3 * x) * (1.0 + 0.1 * np.sin(x))
+        e[[6, 15]] = 0.0
+    else:
+        x = np.arange(1.0, 13.0)
+        e = np.exp(-0.5 * x) * np.exp(np.random.default_rng(11).normal(0, 0.8, x.size))
+    i, j, rate, resid = _window_by_polyfit_loop(x, e)
+    if case == "tolerance-doubling":
+        assert resid > 0.15
+    w = fit_exponential_window(x, e)
+    assert (w.start, w.stop) == (i, j)
+    assert w.fit.rate == rate and w.achieved_residual == resid

@@ -26,6 +26,7 @@ from zetavac.models import (
     position_element,
     position_matrix,
 )
+from zetavac.truncation import mode_list
 
 
 def ramp_fourier(d, q=1.0):
@@ -107,6 +108,24 @@ class TestHydrogenElements:
         with np.errstate(divide="ignore", invalid="ignore"):
             H = params.q * (sign * (1.0 - 1j * np.pi * D) - 1.0) / (2.0 * np.pi * D * D)
             X = -1j * sign / D
+        np.fill_diagonal(H, md * md / (2.0 * params.m) + params.q * np.pi / 4.0)
+        np.fill_diagonal(X, 0.0)
+        assert hydrogen_matrix(n, params).tobytes() == H.tobytes()
+        assert position_matrix(n).tobytes() == X.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 1050])
+    def test_matrices_match_fancy_index_gather_bitwise(self, n):
+        # the builders gather row blocks from sliding windows; the reference
+        # indexes the same difference tables with the full n x n grid k - l
+        params = HydrogenParams(m=0.7, q=2.3)
+        md = mode_list(n)
+        d = np.arange(-n, n + 1)
+        sign = np.where(d % 2 == 0, 1.0, -1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h_table = params.q * (sign * (1.0 - 1j * np.pi * d) - 1.0) / (2.0 * np.pi * d * d)
+            x_table = -1j * sign / d
+        H = h_table[n + md[None, :] - md[:, None]]
+        X = x_table[n + md[None, :] - md[:, None]]
         np.fill_diagonal(H, md * md / (2.0 * params.m) + params.q * np.pi / 4.0)
         np.fill_diagonal(X, 0.0)
         assert hydrogen_matrix(n, params).tobytes() == H.tobytes()

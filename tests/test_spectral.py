@@ -36,11 +36,16 @@ def test_require_hermitian_tolerates_rounding():
     require_hermitian(M)
 
 
-# At n = 2 * tile + 1 the last tile row and column are one entry wide.
-TILED_N = 2 * spectral._TILE + 1
+# At n = 4 * tile + 1 the last tile row and column are one entry wide.
+TILED_N = 4 * spectral._TILE + 1
 LAST = TILED_N - 1
-# Entries that sit only in an off-diagonal tile pair or in the last partial tile.
-TILE_POSITIONS = [(3, 300), (300, 3), (LAST, 7), (7, LAST), (LAST, 300), (LAST, LAST)]
+# A row inside the third tile row, off the diagonal of its own tile.
+MID = 2 * spectral._TILE + 44
+# Entries that sit only in an off-diagonal tile pair, in the last partial
+# tile, on the diagonal, or below the diagonal of a diagonal tile.
+TILE_POSITIONS = [
+    (3, MID), (MID, 3), (LAST, 7), (7, LAST), (LAST, MID), (LAST, LAST), (MID, MID - 1),
+]
 
 
 @pytest.mark.parametrize("i, j", TILE_POSITIONS)
@@ -71,6 +76,18 @@ def test_hermitian_scale_is_the_largest_magnitude(i, j):
     assert scale == np.abs(M.real).max()
 
 
+def test_hermitian_scale_of_a_within_tolerance_asymmetry_is_the_upper_one():
+    # scale is max|M| over the upper triangle, diagonal included: the
+    # largest entry of the Hermitian matrix that triangle defines, at most
+    # the tolerance below max|M| over the whole matrix
+    M = random_hermitian(TILED_N, seed=12)
+    M[3, MID] = 7.0
+    M[MID, 3] = 7.0 * (1.0 + 5e-13)
+    _, scale, _ = spectral._hermitian_and_scale(M)
+    assert scale == 7.0 < np.abs(M).max()
+    assert np.abs(M).max() - scale <= spectral._HERMITIAN_TOL * scale
+
+
 def test_off_diagonal_row_sums_are_those_of_the_upper_triangle():
     M = random_hermitian(TILED_N, seed=11)
     upper = np.triu(M, 1)
@@ -81,7 +98,7 @@ def test_off_diagonal_row_sums_are_those_of_the_upper_triangle():
     # is diagonal
     D = np.diag(np.arange(1.0, TILED_N + 1)).astype(complex)
     D[LAST, 3] = 1e-13
-    D[300, 7] = 1e-13j
+    D[MID, 7] = 1e-13j
     _, _, off = spectral._hermitian_and_scale(D)
     assert not off.any()
 

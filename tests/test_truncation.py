@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.special import digamma, polygamma
 
+from zetavac import spectral
 from zetavac.errors import ConvergenceFailure, GridTooSmall, HermiticityViolation, NonHermitianInput
 from zetavac.models import hydrogen_element, hydrogen_matrix
 from zetavac.truncation import (
@@ -200,6 +201,61 @@ def test_hydrogen_certified_by_a_leading_block():
 def test_random_matrix_takes_the_full_factorization(n):
     # every Gershgorin disc of a random Hermitian matrix reaches its ground level
     assert vacuum_state(random_hermitian(n, seed=n)).certificate_block == n
+
+
+def _certificate_block_by_full_solves(H, energy) -> int:
+    """The certificate with every trial solving all n - k columns of W.
+
+    NumPy's Cholesky and SciPy's triangular solve stand in for zpotrf and
+    ztrsm; sigma comes from the energy, not from the iteration's last
+    Rayleigh quotient, which differs from it at rounding level.
+    """
+    M, scale, off = spectral._hermitian_and_scale(H)
+    n, eps = M.shape[0], np.finfo(float).eps
+    delta = 1e-10 * scale
+    sigma = energy - delta
+    d = M.diagonal().real
+    gap, slack = d - sigma - off, 3 * n * eps * (off + np.abs(d) + abs(sigma))
+    reach = np.flatnonzero(gap <= slack)
+    k = int(reach[-1]) + 1 if reach.size else 0
+    while k:
+        k = n if 2 * k > n else k
+        L = np.linalg.cholesky(M[:k, :k] - sigma * np.eye(k))
+        if k == n:
+            return n
+        w = np.linalg.norm(scipy.linalg.solve_triangular(L, M[:k, k:], lower=True), axis=0)
+        eta = k * k * eps * np.sqrt(2.0 * (scale + abs(sigma)) / delta)
+        t = w * w.sum()
+        if (gap[k:] - t > slack[k:] + 3.0 * eta * t).all():
+            return k
+        k *= 2
+    return 0
+
+
+@pytest.mark.parametrize("H", [hydrogen_matrix(512), random_hermitian(300, seed=3)], ids=["hydrogen", "random"])
+def test_failing_certificate_trials_stop_after_their_next_rows(monkeypatch, H):
+    # a failing trial k solves only the columns of rows k..2k, the rows
+    # that fail; the block it settles on is that of solving all columns
+    solves = []
+    ztrsm = scipy.linalg.blas.ztrsm
+
+    def counting(alpha, a, b, **kwargs):
+        solves.append((a.shape[0], b.shape[1]))
+        return ztrsm(alpha, a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.blas, "ztrsm", counting)
+    vac = vacuum_state(H)
+    n, block = H.shape[0], vac.certificate_block
+    assert block == _certificate_block_by_full_solves(H, vac.energy)
+    assert_same_ground_pair(vac.energy, vac.state, H)
+    columns = {}
+    for k, m in solves:
+        columns[k] = columns.get(k, 0) + m
+    if block == n:  # the full factorization solves nothing
+        assert not solves
+        return
+    assert columns.pop(block) == n - block
+    assert columns and all(m <= 2 * k for k, m in columns.items())
 
 
 def test_dominant_diagonal_needs_no_factorization():
