@@ -36,8 +36,8 @@ class ConvergenceSeries:
         v = np.asarray(self.values, dtype=float)
         if a.shape != v.shape or a.ndim != 1:
             raise ValueError(f"abscissa {a.shape} and values {v.shape} must be equal-length 1-d")
-        if a.size and np.any(np.diff(a) <= 0):
-            raise ValueError("abscissa must be strictly increasing")
+        if not np.isfinite(a).all() or np.any(np.diff(a) <= 0):
+            raise ValueError("abscissa must be finite and strictly increasing")
         object.__setattr__(self, "abscissa", a)
         object.__setattr__(self, "values", v)
 
@@ -74,9 +74,11 @@ class WindowedFit:
 
 
 def _check_series(x: np.ndarray, e: np.ndarray) -> None:
-    """Shape check, and DegenerateFit for a NaN or infinite error."""
+    """Shape check, ValueError for a NaN or infinite abscissa, DegenerateFit for such an error."""
     if x.shape != e.shape or x.ndim != 1:
         raise ValueError(f"abscissa {x.shape} and errors {e.shape} must be equal-length 1-d")
+    if not np.isfinite(x).all():
+        raise ValueError(f"abscissa must be finite, got {x[~np.isfinite(x)][0]}")
     if not np.isfinite(e).all():
         raise DegenerateFit(f"errors must be finite, got {e[~np.isfinite(e)][0]}")
 
@@ -85,8 +87,8 @@ def fit_exponential(abscissa, errors) -> ExponentialFit:
     """Fit errors ~ a*exp(-b*x) by ordinary least squares on log(errors).
 
     Zero errors are clipped to 1e-300 before the log.  A NaN or infinite
-    error, fewer than three positive-error points, or an all-equal error
-    vector cannot pin the two parameters and raise DegenerateFit.
+    error, fewer than three positive-error points, or an all-equal error vector
+    cannot pin the two parameters and raise DegenerateFit (abscissa: ValueError).
     """
     x = np.asarray(abscissa, dtype=float)
     e = np.asarray(errors, dtype=float)
@@ -121,7 +123,7 @@ def fit_exponential_window(abscissa, errors) -> WindowedFit:
     such window, preferring the right-most (the asymptotic regime).  If no
     window qualifies, the tolerance is doubled until one does, so a fit is
     always returned.  Series shorter than 5 points fall back to the plain
-    full-range fit, and a NaN or infinite error raises DegenerateFit.
+    full-range fit, and a NaN or infinite error raises DegenerateFit (abscissa: ValueError).
 
     Every window's line comes from prefix sums of x and log(errors) at
     once.  Length and stop identify a window, so its residual only decides

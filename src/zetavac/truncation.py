@@ -124,9 +124,7 @@ def project_operator(element, n: int) -> np.ndarray:
     submatrices agree exactly across sizes.  A non-finite element raises
     NonHermitianInput, wherever it sits.
     """
-    if n < 1:
-        raise ValueError("basis size must be at least 1")
-    sample = mode_list(min(n, 8))
+    sample = mode_list(min(n, 8))  # raises for n < 1
     for a, l in enumerate(sample):
         for k in sample[a:]:
             lk, kl = complex(element(l, k)), complex(element(k, l))

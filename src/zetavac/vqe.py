@@ -8,9 +8,10 @@ axis of the state, so each gate is three ufunc calls over the whole
 batch; this makes the gradient, the metric and the line search nearly
 free.  The classical loop is memoryless natural-gradient descent: one
 batch of P + 1 circuits (the pi-shift parameter-shift rule) gives the
-energy, all P derivatives and the P x 2^(Q+1) tangent matrix R of the
-Fubini-Study metric G = R R^T / 4, and each step goes to the lowest point
-of one batched grid of 22 steps along -G^+ g, taken from one thin SVD of R.
+energy, the P x 2^(Q+1) tangent matrix R of the Fubini-Study metric
+G = R R^T / 4 and the gradient g = R h, h the float view of H psi.  As
+(R R^T)^+ R = (R^T)^+, each step goes to the lowest point of one batched
+grid of 22 steps along -G^+ g = -4 (R^T)^+ h, one least-squares solve.
 Energies are quadratic forms of the reconstructed matrix.  Word
 expectations, the quantities a device measures and the input of
 ``sampled_energy``, come from the package's one Pauli transform:
@@ -203,14 +204,14 @@ def _params_hash(params: np.ndarray) -> str:
 # 10 short ones down to 1e-7; the step taken is the lowest of all 22 when it descends
 _STEPS = np.concatenate((np.geomspace(1.0 / 32.0, 4.0, 12), np.geomspace(1e-7, 1.0 / 64.0, 10)))
 
-# metric eigenvalues below this fraction of the largest are dropped from -G^+ g.
-# It stays at rounding level: at Q = 5, 8 layers, cutoffs of 1e-8 and 1e-6 were
-# 4e-6 and 7e-5 above the ground energy after 6,000 iterations, 1e-14..1e-10 converged.
+# eigenvalues of G (squared singular values of R, over 4) below this fraction of the largest
+# are dropped from -G^+ g.  It stays at rounding level: at Q = 5, 8 layers, cutoffs of 1e-8 and
+# 1e-6 were 4e-6 and 7e-5 above the ground energy after 6,000 iterations; 1e-14..1e-10 converged.
 _METRIC_CUTOFF = 1e-10
 
 
 def _energy_and_gradient(spec: AnsatzSpec, H: np.ndarray, x: np.ndarray):
-    """Energy, exact gradient and real tangent matrix at x from one (P + 1)-row propagation.
+    """Energy, exact gradient, real tangent matrix and H psi at x from one (P + 1)-row propagation.
 
     Row 0 is psi(x) and row k is psi(x + pi e_k).  Angle k enters as
     exp(-i x_k S / 2) with S a Pauli word and exp(-i pi S / 2) = -iS, so
@@ -219,7 +220,7 @@ def _energy_and_gradient(spec: AnsatzSpec, H: np.ndarray, x: np.ndarray):
     so the Fubini-Study metric Re(<d_k psi|d_l psi> - <d_k psi|psi><psi|d_l psi>)
     is Re(T T^dagger) / 4 = R R^T / 4, with R the float view of T: P x 2^(Q+1),
     the real and imaginary part of each amplitude in neighbouring columns.
-    R is returned in place of the metric, which is never formed.
+    R, never the metric, is returned, with h = H psi as floats: Re <psi_k|psi> = 0, so g = R h.
     """
     P = spec.n_params
     psi = _propagate(spec, x + np.pi * np.eye(P + 1, P, k=-1))  # rows 1..P shift one angle each
@@ -227,7 +228,7 @@ def _energy_and_gradient(spec: AnsatzSpec, H: np.ndarray, x: np.ndarray):
     grad = (psi[1:] @ hpsi).real
     tangents = psi[1:]
     tangents -= np.outer(tangents @ psi[0].conj(), psi[0])
-    return float((hpsi * psi[0]).sum().real), grad, tangents.view(float)
+    return float((hpsi * psi[0]).sum().real), grad, tangents.view(float), hpsi.conj().view(float)
 
 
 def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initial=None) -> MinimizeResult:
@@ -236,9 +237,9 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
     One (P + 1)-row propagation gives the energy, the exact gradient g (the
     parameter-shift rule in its pi-shift form) and the tangent matrix R of
     the Fubini-Study metric G = R R^T / 4 at a point (``_energy_and_gradient``).
-    One thin SVD R = U S V^T gives the eigenpairs (S^2 / 4, U) of G, at most
-    2^(Q+1) of them, and d = -G^+ g from those above ``_METRIC_CUTOFF`` times
-    the largest, with no P x P matrix.  One 22-row propagation is the line
+    As g = R h (h: H psi as floats) and (R R^T)^+ R = (R^T)^+, d = -G^+ g is
+    -4 (R^T)^+ h, one least-squares solve on R^T that drops singular values
+    below sqrt(``_METRIC_CUTOFF``) of the largest.  One 22-row propagation is the line
     search along d: 12 log-spaced long steps, 1/32..4, and 10 short ones,
     1e-7..1/64.  The step taken is the lowest of all 22 energies when it
     is below the current one; when none is, the run has converged and returns.
@@ -262,7 +263,7 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
         if x.shape != (spec.n_params,):
             raise ParamLengthMismatch(f"initial {x.shape} vs ({spec.n_params},)")
     H = reconstruct(c)
-    fx, g, R = _energy_and_gradient(spec, H, x)
+    fx, g, R, h = _energy_and_gradient(spec, H, x)
     trace: list = []
     for it in range(cfg.max_iter + 1):
         gnorm = float(np.linalg.norm(g))
@@ -271,17 +272,14 @@ def minimize(spec: AnsatzSpec, c: PauliCoefficients, cfg: OptimizerConfig, initi
         trace.append({"iteration": it, "energy": fx, "gradient_norm": gnorm, "params_hash": _params_hash(x)})
         if it == cfg.max_iter:  # cut off; the last row is the point it stopped at
             return MinimizeResult(x, fx, trace, converged=False)
-        U, S, _ = np.linalg.svd(R, full_matrices=False)
-        lam = S**2 / 4.0  # the eigenvalues of G, largest first
-        keep = lam > _METRIC_CUTOFF * lam[0]
-        d = -U[:, keep] @ ((U[:, keep].T @ g) / lam[keep])
+        d = np.linalg.lstsq(R.T, -4.0 * h, rcond=np.sqrt(_METRIC_CUTOFF))[0]
         psi = _propagate(spec, x + _STEPS[:, None] * d)
         vals = ((psi.conj() @ H) * psi).sum(axis=1).real
         i = int(np.argmin(vals))
         if not vals[i] < fx:  # nothing below fx
             return MinimizeResult(x, fx, trace)
         x = x + _STEPS[i] * d
-        fx, g, R = _energy_and_gradient(spec, H, x)
+        fx, g, R, h = _energy_and_gradient(spec, H, x)
 
 
 def warm_start_embed(params, spec_from: AnsatzSpec, spec_to: AnsatzSpec) -> np.ndarray:

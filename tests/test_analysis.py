@@ -162,6 +162,25 @@ def test_non_finite_errors_raise(fit, x, e):
         fit(x, e)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda x, e: ConvergenceSeries(x, e, 1.0),
+        fit_exponential,
+        fit_exponential_window,
+    ],
+    ids=["series", "fit", "window"],
+)
+def test_non_finite_abscissa_raise(entry, bad):
+    # np.diff(x) <= 0 is False next to a NaN, and a NaN abscissa turned the
+    # window fit's prefix sums into NaN: "no decaying window", not the cause
+    x = np.arange(1.0, 10.0)
+    x[3] = bad
+    with pytest.raises(ValueError, match="abscissa must be finite"):
+        entry(x, np.exp(-x / 2.0))
+
+
 def _window_by_polyfit_loop(x, e):
     """Window, rate and residual of one ``polyfit`` per candidate window."""
     y = np.log(np.clip(e, 1e-300, None))

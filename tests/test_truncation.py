@@ -43,6 +43,20 @@ def test_project_operator_nesting_bit_exact():
         assert np.array_equal(big[:m, :m], small)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_project_operator_rejects_size_below_one(n):
+    # the size check is mode_list's, reached before any element call
+    calls = []
+
+    def element(l, k):
+        calls.append((l, k))
+        return hydrogen_element(l, k)
+
+    with pytest.raises(ValueError, match="at least 1"):
+        project_operator(element, n)
+    assert calls == []
+
+
 def test_project_operator_output_hermitian_exactly():
     M = project_operator(hydrogen_element, 15)
     assert np.array_equal(M, M.conj().T)

@@ -202,7 +202,7 @@ class TestGradientScale:
 
             for _ in range(4):
                 p = rng.uniform(-math.pi, math.pi, P)
-                e, g, _ = _energy_and_gradient(spec, H, p)
+                e, g, _, _ = _energy_and_gradient(spec, H, p)
                 psi = apply_ansatz(spec, p)
                 assert e == pytest.approx(np.vdot(psi, H @ psi).real, rel=1e-13)
                 shift = differences(p, math.pi / 2.0) / 2.0
@@ -220,7 +220,7 @@ class TestGradientScale:
         spec = AnsatzSpec(Q, 8)
         P = spec.n_params
         p = np.random.default_rng(40 + Q).uniform(-math.pi, math.pi, P)
-        _, _, R = _energy_and_gradient(spec, hydrogen_matrix(1 << Q), p)
+        _, _, R, _ = _energy_and_gradient(spec, hydrogen_matrix(1 << Q), p)
         assert R.shape == (P, 2 << Q)
         G = R @ R.T / 4.0
         oracle = _central_difference_metric(spec, p)
@@ -228,6 +228,21 @@ class TestGradientScale:
         assert np.abs(G - G.T).max() <= 1e-15 * np.abs(G).max()
         lam = np.linalg.eigvalsh(G)
         assert lam[0] >= -1e-14 * lam[-1]
+
+    @pytest.mark.parametrize("Q", [1, 2, 3, 4, 5])
+    def test_gradient_is_tangent_matrix_times_h_psi(self, Q):
+        # the step -4 (R^T)^+ h equals -G^+ g only because g = R h: projecting
+        # the rows off psi keeps the gradient, as Re <psi_k|psi> = 0
+        spec = AnsatzSpec(Q, 8)
+        H = hydrogen_matrix(1 << Q)
+        rng = np.random.default_rng(70 + Q)
+        for _ in range(3):
+            p = rng.uniform(-math.pi, math.pi, spec.n_params)
+            _, g, R, h = _energy_and_gradient(spec, H, p)
+            assert h.shape == (2 << Q,)
+            hpsi = H @ apply_ansatz(spec, p)
+            assert np.linalg.norm(h.view(complex) - hpsi) <= 1e-14 * np.linalg.norm(hpsi)
+            assert np.linalg.norm(g - R @ h) <= 1e-13 * np.linalg.norm(g)
 
 
 def _central_difference_metric(spec, p, h=1e-5):
@@ -469,35 +484,36 @@ class TestMinimize:
         assert grid.shape == (_STEPS.size, spec.n_params)
         k = int(np.argmax(_STEPS))
         d = (grid[k] - x) / _STEPS[k]
-        _, g, _ = _energy_and_gradient(spec, reconstruct(c), x)
+        _, g, _, _ = _energy_and_gradient(spec, reconstruct(c), x)
         metric = _central_difference_metric(spec, x)
         oracle = -np.linalg.pinv(metric, rcond=_METRIC_CUTOFF, hermitian=True) @ g
         assert np.linalg.norm(d - oracle) <= 1e-7 * np.linalg.norm(oracle)
 
-    def test_step_takes_one_thin_svd_and_no_eigh(self, monkeypatch):
-        # d comes from one SVD of the P x 2^(Q+1) tangent matrix per
-        # iteration: at every trace row of a converged run (the last finds
-        # no descent), at all but the last of a cut-off one; no P x P
-        # eigensolve runs
+    def test_step_takes_one_lstsq_and_no_svd_eigh_or_pinv(self, monkeypatch):
+        # d comes from one least-squares solve on the 2^(Q+1) x P transposed
+        # tangent matrix per iteration: at every trace row of a converged run
+        # (the last finds no descent), at all but the last of a cut-off one;
+        # no SVD, P x P eigensolve or pseudo-inverse runs
         coeffs = {Q: decompose(hydrogen_matrix(1 << Q)) for Q in (1, 3)}
         shapes = []
-        svd = np.linalg.svd
+        lstsq = np.linalg.lstsq
 
         def counting(a, *args, **kwargs):
             shapes.append(a.shape)
-            return svd(a, *args, **kwargs)
+            return lstsq(a, *args, **kwargs)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("np.linalg.eigh called")
+            raise AssertionError("np.linalg.svd, eigh or pinv called")
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        for name in ("svd", "eigh", "pinv"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
         for Q, max_iter, converged in ((1, 25000, True), (3, 25000, True), (3, 4, False)):
             spec = AnsatzSpec(Q, 8)
             shapes.clear()
             res = minimize(spec, coeffs[Q], OptimizerConfig(seed=0, max_iter=max_iter))
             assert res.converged is converged
-            assert shapes == [(spec.n_params, 2 << Q)] * (len(res.trace) - (not converged))
+            assert shapes == [(2 << Q, spec.n_params)] * (len(res.trace) - (not converged))
 
 
 class TestWarmStartedChain:
