@@ -489,6 +489,29 @@ class TestMinimize:
         oracle = -np.linalg.pinv(metric, rcond=_METRIC_CUTOFF, hermitian=True) @ g
         assert np.linalg.norm(d - oracle) <= 1e-7 * np.linalg.norm(oracle)
 
+    def test_step_drops_metric_eigenvalues_below_cutoff(self, monkeypatch):
+        # a tangent matrix whose singular values straddle sqrt(_METRIC_CUTOFF):
+        # 1e-3 stays (eigenvalue of G 2.5e-7), 1e-7 goes (2.5e-15), as in the
+        # pseudo-inverse of G at _METRIC_CUTOFF.  At random points of the real
+        # ansatz no singular value falls between the two, so only a made-up
+        # R shows the cutoff; without it d gains a 1e7-fold component (seen:
+        # 1.0e-10 relative with it)
+        spec = AnsatzSpec(1, 2)
+        rng = np.random.default_rng(8)
+        U = np.linalg.qr(rng.normal(size=(spec.n_params, 4)))[0]
+        V = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        R = U @ np.diag([1.0, 0.5, 1e-3, 1e-7]) @ V.T
+        h = rng.normal(size=4)
+        g = R @ h
+        monkeypatch.setattr(vqe, "_energy_and_gradient", lambda *args: (1.0, g, R, h))
+        batches = self._recorded_batches(monkeypatch)
+        x = np.zeros(spec.n_params)
+        minimize(spec, PauliCoefficients(1, np.zeros(4)), OptimizerConfig(max_iter=1), initial=x)
+        k = int(np.argmax(_STEPS))
+        d = (batches[0][k] - x) / _STEPS[k]
+        oracle = -np.linalg.pinv(R @ R.T / 4.0, rcond=_METRIC_CUTOFF, hermitian=True) @ g
+        assert np.linalg.norm(d - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
     def test_step_takes_one_lstsq_and_no_svd_eigh_or_pinv(self, monkeypatch):
         # d comes from one least-squares solve on the 2^(Q+1) x P transposed
         # tangent matrix per iteration: at every trace row of a converged run
