@@ -38,7 +38,8 @@ class SeriesDivergence(ArithmeticError):
 
 
 class OutOfFloatRange(ArithmeticError):
-    """A closed-form term or a VQE energy or gradient leaves the float range."""
+    """A closed-form term, a VQE energy or gradient, a strong-probe residual
+    or a Sobolev-weighted Schatten-probe operator leaves the float range."""
 
 
 class NonPositiveSpectrum(ValueError):

@@ -7,20 +7,23 @@ Kronecker product, matching the |q_{Q-1} ... q_0> ket layout).  The
 transform never materializes the 2^Q x 2^Q words.  A matrix entry
 (j, k) is addressed by the base-4 digits 2 j_t + k_t, one per qubit t,
 so ``decompose`` interleaves the row and column bits once and then maps
-one digit per qubit with a 4 x 4 matrix: a single ``np.matmul`` per
-qubit reads the leading digit and writes its image as the trailing one,
-so after Q maps every digit has been mapped, in order, with no
-transposed copy in between.  ``reconstruct`` runs the same maps from
-word digits to entry digits and de-interleaves once at the end.  Each
-output of a map is a sum of exactly two nonzero terms, each a product
-with 1, -1, i or -i, so the result does not depend on how the matrix
-product orders its sums.  The cost is O(Q 4^Q).
+one digit per qubit with a 4 x 4 matrix: a single ``zgemm`` per qubit
+reads the leading digit and writes its image as the trailing one, in
+place into a buffer, so after Q maps every digit has been mapped, in
+order, with no transposed copy in between.  The product runs in SciPy's
+OpenBLAS pool, with the truncation probes and ``vacuum_state`` (the
+``truncation`` module docstring states the rule).  ``reconstruct`` runs
+the same maps from word digits to entry digits and de-interleaves once
+at the end.  Each output of a map is a sum of exactly two nonzero
+terms, each a product with 1, -1, i or -i, so the result does not
+depend on how the matrix product orders its sums.  The cost is O(Q 4^Q).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionMismatch, NotPowerOfTwo
 from .spectral import require_hermitian
@@ -80,7 +83,11 @@ def _map_digits(T: np.ndarray, G: np.ndarray, Q: int) -> np.ndarray:
     """
     out = np.empty_like(T)
     for _ in range(Q):
-        np.matmul(T.reshape(4, -1).T, G, out=out.reshape(-1, 4))
+        # out.reshape(-1, 4) = T.reshape(4, -1).T @ G, written through its
+        # Fortran-ordered transpose G^T T.reshape(4, -1)
+        scipy.linalg.blas.zgemm(
+            1.0, G.T, T.reshape(4, -1).T, trans_b=1, c=out.reshape(-1, 4).T, overwrite_c=1
+        )
         T, out = out, T
     return T
 

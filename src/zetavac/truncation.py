@@ -18,9 +18,11 @@ iteration on the dense matrix, certified by a Cholesky factorization of
 a leading block, a triangular solve and a Gershgorin bound.  NumPy and
 SciPy each load their own OpenBLAS thread pool, and a pool's workers keep
 spinning after a call, so a call into one pool right after a call into
-the other competes with them for the cores.  The rule is: SciPy's LAPACK and BLAS only in
-``vacuum_state``, its factorizations and triangular solve included, and
-NumPy's for everything else, the Schatten eigenvalues included.
+the other competes with them for the cores.  The rule is: every BLAS and
+LAPACK call of this module goes to SciPy's pool, as does the Pauli
+transform's; the other modules keep to NumPy's.  So the strong probe's
+products go through ``zgemv`` and the Schatten eigenvalues through
+SciPy's ``eigh``, beside the solve they follow.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from .errors import (
     GridTooSmall,
     HermiticityViolation,
     NonHermitianInput,
+    OutOfFloatRange,
 )
 from .spectral import _fix_phases, _hermitian_and_scale
 
@@ -316,6 +319,8 @@ def vacuum_state(H) -> DiscretizedVacuum:
 
 def _check_probe_sizes(n_list: list, n_ref: int) -> None:
     """Every probed size at least 1, as in ``mode_list``, and within half the reference grid."""
+    if not n_list:
+        raise ValueError("need one or more probe sizes")
     if min(n_list) < 1:
         raise ValueError(f"basis size must be at least 1, got {min(n_list)}")
     if n_ref < 2 * max(n_list):
@@ -331,7 +336,8 @@ def strong_convergence_probe(A, x, n_list) -> np.ndarray:
     where ``A_n`` and ``x_n`` are the leading ``n``-blocks, ``pad`` fills
     the entries past ``n`` with zeros and ``A`` is a matrix on the grid of
     ``x``.  The reference grid must be at least twice the largest probed
-    size.
+    size.  A residual that is not finite, from a non-finite entry or an
+    overflow, raises OutOfFloatRange naming the first such size.
     """
     x = np.asarray(x, dtype=complex)
     n_ref = x.shape[0]
@@ -340,12 +346,17 @@ def strong_convergence_probe(A, x, n_list) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.shape != (n_ref, n_ref):
         raise DimensionMismatch(f"operator {A.shape} vs grid {n_ref}")
-    ref = A @ x
+    zgemv = scipy.linalg.blas.zgemv
+    # A.T is the Fortran-ordered view of A; trans=1 applies A
+    ref = zgemv(1.0, A.T, x, trans=1)
     out = np.empty(len(n_list))
     for i, n in enumerate(n_list):
         r = ref.copy()  # past n the residual is ref - 0
-        r[:n] -= A[:n, :n] @ x[:n]
+        r[:n] -= zgemv(1.0, A.T[:n, :n], x[:n], trans=1)
         out[i] = np.linalg.norm(r)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise OutOfFloatRange(f"strong probe residual at n={n_list[bad[0]]} is not finite")
     return out
 
 
@@ -362,18 +373,24 @@ def schatten_convergence_probe(element, weight: SobolevWeight, n_list, n_ref: in
     so each nuclear norm is the sum of the absolute eigenvalues of the
     difference.  A weighted operator with an all-zero imaginary part is
     decomposed as a real matrix, which gives the same eigenvalues at about
-    half the cost.
+    half the cost.  A weight that takes an entry out of the float range
+    (a strongly negative s underflows ``(1 + k^2)^s`` to 0) raises
+    OutOfFloatRange.
     """
     n_list = list(n_list)
     _check_probe_sizes(n_list, n_ref)
     half = weight.values(mode_list(n_ref)) ** -0.5
     A_w = half[:, None] * project_operator(element, n_ref) * half[None, :]
+    if not np.isfinite(A_w).all():
+        raise OutOfFloatRange(f"Sobolev weight s={weight.s} leaves the float range at n_ref={n_ref}")
     if not A_w.imag.any():
         # same eigenvalues; LAPACK runs the real dsyevd, not zheevd
         A_w = A_w.real
     out = np.empty(len(n_list))
     for i, n in enumerate(n_list):
-        diff = A_w.copy()
+        # Fortran-ordered, so eigh overwrites it in place of a copy
+        diff = A_w.copy(order="F")
         diff[:n, :n] = 0.0
-        out[i] = np.abs(np.linalg.eigvalsh(diff)).sum()
+        ev = scipy.linalg.eigh(diff, eigvals_only=True, driver="evd", overwrite_a=True, check_finite=False)
+        out[i] = np.abs(ev).sum()
     return out

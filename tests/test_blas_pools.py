@@ -1,11 +1,14 @@
-"""SciPy's LAPACK stays inside the ground-state solve.
+"""Each module keeps its BLAS and LAPACK calls in one pool.
 
 NumPy and SciPy load separate OpenBLAS thread pools, and a pool's workers
 keep spinning after a call, so a call into one pool right after a call into
 the other competes with them (the ``truncation`` module docstring states the
 rule).  No timing-free test would see that contention come back, so these
-tests read the package source instead: ``scipy.linalg`` is used only in
-``truncation.vacuum_state``, and it takes no NumPy matrix product.
+tests read the package source instead: ``truncation`` and ``pauli`` take
+SciPy's pool, in exactly the functions listed below, and neither takes a
+NumPy matrix product or any ``np.linalg`` function but ``norm``;
+``spectral``, ``gauge``, ``vqe``, ``analysis`` and ``models`` take NumPy's
+and never use ``scipy.linalg``.
 """
 import ast
 import pathlib
@@ -13,7 +16,14 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "zetavac"
-SCIPY_LINALG_USERS = {("truncation", "vacuum_state")}
+SCIPY_LINALG_USERS = {
+    ("truncation", "vacuum_state"),
+    ("truncation", "strong_convergence_probe"),
+    ("truncation", "schatten_convergence_probe"),
+    ("pauli", "_map_digits"),
+}
+SCIPY_POOL_MODULES = ["truncation", "pauli"]
+NUMPY_POOL_MODULES = ["spectral", "gauge", "vqe", "analysis", "models"]
 PRODUCT_CALLS = {"dot", "matmul", "einsum"}
 
 
@@ -72,6 +82,31 @@ def matrix_products(func: ast.AST) -> list:
     )
 
 
+def numpy_linalg_calls(tree: ast.AST) -> list:
+    """Line numbers of uses of ``numpy.linalg`` other than ``norm`` in ``tree``.
+
+    A full attribute chain ``np.linalg...`` or ``numpy.linalg...`` counts
+    unless it is ``np.linalg.norm``; so does an aliased import of
+    ``numpy.linalg`` or any import from it, which would hide later uses.
+    """
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            parts = _dotted(node).split(".")
+            if parts[:2] in (["np", "linalg"], ["numpy", "linalg"]) and parts[2:] != ["norm"]:
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.startswith("numpy.linalg") and a.asname for a in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (
+            (node.module or "").startswith("numpy.linalg")
+            or (node.module == "numpy" and any(a.name == "linalg" for a in node.names))
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 def _function(source: str, name: str) -> ast.FunctionDef:
     found = [
         node
@@ -82,20 +117,28 @@ def _function(source: str, name: str) -> ast.FunctionDef:
     return found[0]
 
 
-def test_scipy_linalg_only_in_the_ground_state_solve():
+def test_scipy_linalg_only_in_the_listed_functions():
     used = {
         (path.stem, scope)
         for path in sorted(SRC.glob("*.py"))
         for scope in scipy_linalg_uses(path.read_text())
     }
     assert used == SCIPY_LINALG_USERS, (
-        f"scipy.linalg used outside the ground-state solve: {sorted(used - SCIPY_LINALG_USERS)}"
+        f"scipy.linalg used outside the listed functions: {sorted(used - SCIPY_LINALG_USERS)}; "
+        f"listed but unused: {sorted(SCIPY_LINALG_USERS - used)}"
     )
 
 
-def test_vacuum_state_takes_no_numpy_matrix_product():
-    func = _function((SRC / "truncation.py").read_text(), "vacuum_state")
-    assert not matrix_products(func), f"matrix product in vacuum_state at lines {matrix_products(func)}"
+@pytest.mark.parametrize("module", SCIPY_POOL_MODULES)
+def test_scipy_pool_module_takes_no_numpy_product_or_linalg_call(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert not matrix_products(tree), f"NumPy matrix product in {module} at lines {matrix_products(tree)}"
+    assert not numpy_linalg_calls(tree), f"np.linalg in {module} at lines {numpy_linalg_calls(tree)}"
+
+
+@pytest.mark.parametrize("module", NUMPY_POOL_MODULES)
+def test_numpy_pool_module_never_uses_scipy_linalg(module):
+    assert not scipy_linalg_uses((SRC / f"{module}.py").read_text())
 
 
 @pytest.mark.parametrize(
@@ -124,3 +167,17 @@ def test_guard_sees_each_matrix_product():
     )
     assert matrix_products(_function(source, "f")) == [2, 3, 4, 5, 6, 7]
     assert scipy_linalg_uses("import scipy.linalg\nimport scipy.special\n") == set()
+
+
+def test_guard_sees_each_numpy_linalg_call():
+    source = (
+        "import numpy.linalg\n"
+        "from numpy.linalg import eigvalsh\n"
+        "from numpy import linalg\n"
+        "import numpy.linalg as la\n"
+        "def f(H, x):\n"
+        "    a = np.linalg.eigvalsh(H)\n"
+        "    b = numpy.linalg.solve(H, x)\n"
+        "    return np.linalg.norm(x) + numpy.linalg.norm(H)\n"
+    )
+    assert numpy_linalg_calls(ast.parse(source)) == [2, 3, 4, 6, 7]

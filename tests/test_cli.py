@@ -772,6 +772,20 @@ class TestLemmaProbesCommand:
         assert code == 0, err
         assert read_json(tmp_path / "probes.json")["schatten_sobolev"]["max_abs_err"] <= 1e-15
 
+    @pytest.mark.parametrize("s", ["-200", "-1e300"])
+    def test_weight_out_of_float_range_exits_3(self, tmp_path, capsys, s):
+        # (1 + k^2)^s underflows to 0 for the outer modes, so the weighted
+        # operator is not finite; the error is typed and nothing is written
+        out = tmp_path / "new"
+        code, _, err = run_cli(
+            ["lemma-probes", "--out", str(out), "--set", "n_ref=16",
+             "--set", "n_list=[2, 4, 8]", "--set", f"sobolev_s={s}"],
+            capsys,
+        )
+        assert code == 3
+        assert "error: OutOfFloatRange: " in err
+        assert not out.exists()
+
 
 class TestParserBasics:
     def test_version_flag(self, capsys):

@@ -14,7 +14,10 @@ from numpy.testing import assert_allclose
 from zetavac.errors import DimensionMismatch, NonHermitianInput, NotPowerOfTwo
 from zetavac.models import hydrogen_matrix
 from zetavac.pauli import (
+    _TO_ENTRY,
+    _TO_WORD,
     PauliCoefficients,
+    _map_digits,
     decompose,
     reconstruct,
 )
@@ -104,6 +107,24 @@ def test_matches_tensordot_contraction_bitwise(Q, kind):
     c = decompose(M)
     assert np.array_equal(c.coeffs, tensordot_decompose(M))
     assert np.array_equal(reconstruct(c), tensordot_reconstruct(c.coeffs, Q))
+
+
+@pytest.mark.parametrize("G", [_TO_WORD, _TO_ENTRY], ids=["to_word", "to_entry"])
+@pytest.mark.parametrize("Q", range(1, 9))
+def test_digit_map_equals_numpy_matmul_in_place(Q, G):
+    # each output is a sum of two exact products, so SciPy's zgemm and
+    # NumPy's matmul agree bit for bit whatever their BLAS builds
+    rng = np.random.default_rng(500 + Q)
+    T = rng.standard_normal(4**Q) + 1j * rng.standard_normal(4**Q)
+    want = T.copy()
+    for _ in range(Q):
+        want = np.matmul(want.reshape(4, -1).T, G).reshape(-1)
+    work = T.copy()
+    got = _map_digits(work, G, Q)
+    assert np.array_equal(got, want)
+    # zgemm's return value is dropped, so each map must have written into
+    # its buffer: the input for even Q, the one scratch array for odd Q
+    assert np.shares_memory(got, work) == (Q % 2 == 0)
 
 
 def test_decompose_leaves_its_input_alone():

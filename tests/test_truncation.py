@@ -6,7 +6,13 @@ import scipy.linalg
 from scipy.special import digamma, polygamma
 
 from zetavac import spectral
-from zetavac.errors import ConvergenceFailure, GridTooSmall, HermiticityViolation, NonHermitianInput
+from zetavac.errors import (
+    ConvergenceFailure,
+    GridTooSmall,
+    HermiticityViolation,
+    NonHermitianInput,
+    OutOfFloatRange,
+)
 from zetavac.models import hydrogen_element, hydrogen_matrix
 from zetavac.truncation import (
     SobolevWeight,
@@ -291,6 +297,40 @@ def test_strong_probe_identity_is_tail_norm():
     assert np.allclose(r, expected, rtol=1e-12)
 
 
+def _hydrogen_probe_pair(n_ref=16):
+    H = hydrogen_matrix(n_ref)
+    return H, vacuum_state(H).state
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda H, v: (H * 1e300, v),
+        lambda H, v: (np.where(np.arange(16) == 1, np.nan, 1.0) * H, v),
+        lambda H, v: (H, np.where(np.arange(16) == 1, np.nan, v)),
+        lambda H, v: (H, np.where(np.arange(16) == 9, np.inf, v)),
+    ],
+    ids=["overflow", "nan_in_A", "nan_in_x_head", "inf_in_x_tail"],
+)
+def test_strong_probe_rejects_a_non_finite_residual(make):
+    # every probed size sees the fault, so the first one is named
+    A, x = make(*_hydrogen_probe_pair())
+    with pytest.raises(OutOfFloatRange, match="n=2 is not finite"):
+        strong_convergence_probe(A, x, [2, 4])
+
+
+def test_strong_probe_matches_numpy_products():
+    H, v = _hydrogen_probe_pair(64)
+    n_list = [2, 4, 8, 16, 32]
+    got = strong_convergence_probe(H, v, n_list)
+    want = []
+    for n in n_list:
+        r = H @ v
+        r[:n] -= H[:n, :n] @ v[:n]
+        want.append(np.linalg.norm(r))
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 def test_strong_probe_grid_guard():
     with pytest.raises(GridTooSmall):
         strong_convergence_probe(np.eye(16), np.ones(16, dtype=complex), [4, 9])
@@ -403,6 +443,49 @@ def test_probes_reject_sizes_below_one(probe, n_list):
     # a negative n would slice A[:n, :n] from the far end instead of failing
     with pytest.raises(ValueError, match="at least 1"):
         probe(n_list)
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda n_list: strong_convergence_probe(np.eye(16), np.full(16, 0.25), n_list),
+        lambda n_list: schatten_convergence_probe(
+            lambda l, k: float(l == k), SobolevWeight(0.0), n_list, n_ref=16
+        ),
+    ],
+    ids=["strong", "schatten"],
+)
+def test_probes_reject_no_sizes(probe):
+    with pytest.raises(ValueError, match="need one or more probe sizes"):
+        probe([])
+
+
+@pytest.mark.parametrize("s", [-200.0, -1e300])
+def test_schatten_probe_rejects_a_weight_out_of_float_range(s):
+    # (1 + k^2)^s underflows to 0 for the outer modes, so the weighted
+    # identity holds inf on the diagonal and NaN (inf * 0 * inf) off it
+    with pytest.raises(OutOfFloatRange, match=re.escape(f"s={s}")):
+        schatten_convergence_probe(lambda l, k: float(l == k), SobolevWeight(s), [2, 4, 8], n_ref=16)
+
+
+@pytest.mark.parametrize("complex_vectors", [False, True])
+def test_schatten_probe_matches_numpy_eigenvalues(complex_vectors):
+    # SciPy's and NumPy's OpenBLAS builds may differ in the last bits, so
+    # the two routes agree to 1e-13 relative, not bit for bit
+    n_ref, n_list = 64, [4, 8, 16, 32]
+    M = _indefinite(n_ref, complex_vectors)
+    weight = SobolevWeight(1.0)
+    got = schatten_convergence_probe(_element_of(M), weight, n_list, n_ref=n_ref)
+    half = weight.values(mode_list(n_ref)) ** -0.5
+    M_w = half[:, None] * project_operator(_element_of(M), n_ref) * half[None, :]
+    if not complex_vectors:
+        M_w = M_w.real
+    want = []
+    for n in n_list:
+        diff = M_w.copy()
+        diff[:n, :n] = 0.0
+        want.append(np.abs(np.linalg.eigvalsh(diff)).sum())
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def _indefinite(n, complex_vectors):
