@@ -153,8 +153,8 @@ def _column_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.square(X.T.view(float)).sum(axis=1))
 
 
-# A hydrogen solve takes 14-21 iterations at n = 8..4096, a random
-# Hermitian matrix 67-447 at n = 40..2048.
+# A hydrogen solve takes 6-12 iterations at n = 8..4096, a random
+# Hermitian matrix 68-509 at n = 40..2048.
 _MAX_ITER = 5000
 
 
@@ -162,13 +162,26 @@ def vacuum_state(H) -> DiscretizedVacuum:
     """Ground state of a Hermitian matrix, certified.
 
     Block-size-1 LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517)
-    from the unit vector e_j at the smallest diagonal entry d_j, with the
-    diagonal preconditioner 1 / (d - d_j + ||H[:, j] off the diagonal||),
-    which is positive for any Hermitian H and unchanged by a shift of H by
-    a multiple of the identity.  Each iteration takes one product with H
-    and a Rayleigh-Ritz step on the orthonormalised span of the iterate,
-    the preconditioned residual and the previous direction.  It stops once
-    ||H x - theta x||_2 <= 1e-14 * max|H|.
+    from the start block: the leading rows up to the last one whose own
+    Gershgorin disc reaches the smallest diagonal entry d_j
+    (d_i - R_i <= d_j, R_i the off-diagonal row sum), or row j alone when
+    that is more than half the rows.  The start vector x is the block's
+    lowest eigenvector (``zheev``), zero-padded, with Rayleigh quotient
+    theta and residual rho = ||H x - theta x||.  The preconditioner is
+    U diag(1 / (lambda - theta + rho)) U^H on the block, lambda and U its
+    eigenpairs, and 1 / (d_i - theta + rho) on the other rows.  Both are
+    positive for any Hermitian H: lambda >= theta up to rounding, and a
+    row outside the block has d_i > d_j >= theta, since the block's lowest
+    eigenvalue is at most its diagonal entry d_j; each difference is
+    clipped at 0 against rounding.  Neither changes when H is shifted by
+    a multiple of the identity.  A one-row block is e_j with the diagonal
+    preconditioner 1 / (d - d_j + ||H[:, j] off the diagonal||).  On
+    hydrogen the block is the low modes, where the potential couples rows
+    as strongly as the kinetic diagonal separates them, and its exact
+    inverse about halves the iterations.  Each iteration takes one product
+    with H and a Rayleigh-Ritz step on the orthonormalised span of the
+    iterate, the preconditioned residual and the previous direction.  It
+    stops once ||H x - theta x||_2 <= 1e-14 * max|H|.
 
     An iterative solve can stop on an excited state whose eigenvector the
     start vector is orthogonal to, so the result is certified: no
@@ -209,11 +222,12 @@ def vacuum_state(H) -> DiscretizedVacuum:
 
     The sum over j enters row i's test only through ||w_i|| sum_j ||w_j||,
     on both sides with a positive factor, and a partial sum only lowers
-    it.  So a trial first solves the columns of rows k..2k alone: a row
-    among them that fails on their partial sum fails the full test too,
-    and k doubles without the rest of the solve, which runs only when
-    those rows pass.  On hydrogen the failing rows of the trials
-    k = 7..56 lie in [k, 2k).
+    it.  So a trial solves the columns in the chunks k..2k, 2k..4k, ...
+    and tests the rows so far on the partial sum after each: a row that
+    fails there fails the full test too, and k doubles without the rest
+    of the solve.  On hydrogen the trials k = 7..28 fail in rows k..2k;
+    k = 56 at n = 1050 fails in rows 224..448, after 392 of its 994
+    columns.
 
     ConvergenceFailure is raised when a factorization fails, or when the
     residual bound is not met within the iteration cap.  The state carries
@@ -227,12 +241,23 @@ def vacuum_state(H) -> DiscretizedVacuum:
     n = M.shape[0]
     d = M.diagonal().real
     j = int(np.argmin(d))
+    # the start block: rows :b, or row j alone (b = 1) when that is over half of them
+    b = int(np.flatnonzero(d - off <= d[j])[-1]) + 1
+    if 2 * b > n:
+        b = 1
     # columns: the iterate x, the previous direction p (from the second
     # iteration on) and the preconditioned residual w; HV holds H times each
     V = np.zeros((n, 3), dtype=complex, order="F")
     HV = np.zeros_like(V)
-    V[j, 0] = 1.0
-    HV[:, 0] = M[:, j]
+    if b == 1:
+        V[j, 0] = 1.0
+        HV[:, 0] = M[:, j]
+    else:
+        lam, U, info = lapack.zheev(M[:b, :b])
+        if info != 0:
+            raise ConvergenceFailure(f"start block eigensolve failed (info={info})")
+        V[:b, 0] = U[:, 0]
+        HV[:, 0] = blas.zgemv(1.0, M.T[:b], U[:, 0], trans=1)  # H[:, :b] u
     k = 1
     for it in range(_MAX_ITER):
         theta = blas.zdotc(V[:, 0], HV[:, 0]).real
@@ -240,9 +265,14 @@ def vacuum_state(H) -> DiscretizedVacuum:
         rnorm = blas.dznrm2(r)
         if rnorm <= 1e-14 * scale:
             break
-        if it == 0:  # r is H[:, j] off the diagonal
-            precond = 1.0 / (d - d[j] + rnorm)
+        if it == 0:  # r is H x outside the start block
+            precond = 1.0 / (np.maximum(d - theta, 0.0) + rnorm)
+            if b > 1:
+                block_precond = 1.0 / (np.maximum(lam - theta, 0.0) + rnorm)
         w = precond * r
+        if b > 1:  # U diag(block_precond) U^H on the start block
+            c = blas.zgemv(1.0, U, r[:b], trans=2)
+            w[:b] = blas.zgemv(1.0, U, block_precond * c)
         for _ in range(2):  # Gram-Schmidt against x and p, twice
             c = blas.zgemv(1.0, V[:, :k], w, trans=2)
             w = blas.zgemv(-1.0, V[:, :k], c, beta=1.0, y=w, overwrite_y=1)
@@ -298,22 +328,25 @@ def vacuum_state(H) -> DiscretizedVacuum:
             break
         eta = k * k * eps * np.sqrt(2.0 * (scale + abs(sigma)) / delta)
         # U^-H conj(H[:k, cols]) is the conjugate of W's columns cols, with
-        # their norms.  2k <= n here: the columns of rows k..2k first, the
-        # rest only if those rows pass
-        w = _column_norms(blas.ztrsm(1.0, u, M.T[:k, k : 2 * k], trans_a=2))
-        t = w * w.sum()
-        if (gap[k : 2 * k] - t > slack[k : 2 * k] + 3.0 * eta * t).all():
-            if 2 * k < n:
-                rest = _column_norms(blas.ztrsm(1.0, u, M.T[:k, 2 * k :], trans_a=2))
-                w = np.concatenate((w, rest))
-                t = w * w.sum()
-            if (gap[k:] - t > slack[k:] + 3.0 * eta * t).all():
+        # their norms, solved in the chunks k..2k, 2k..4k, ... (2k <= n
+        # here); the rows so far are tested on the partial sum after each
+        w = np.empty(n - k)
+        end = k
+        while end < n:
+            start, end = end, min(2 * end, n)
+            w[start - k : end - k] = _column_norms(blas.ztrsm(1.0, u, M.T[:k, start:end], trans_a=2))
+            t = w[: end - k] * w[: end - k].sum()
+            if not (gap[k:end] - t > slack[k:end] + 3.0 * eta * t).all():
                 break
+        else:  # every row passed on the full sum
+            break
         k *= 2
     state = _fix_phases(V[:, :1])[:, 0]
     h_state = blas.zgemv(1.0, M.T, state, trans=1)
     energy = float(np.vdot(state, h_state).real)
-    residual = np.linalg.norm(h_state - energy * state) / scale
+    # dznrm2 scales as it sums, so the norm of a residual near the float
+    # range does not overflow
+    residual = blas.dznrm2(h_state - energy * state) / scale
     return DiscretizedVacuum(n, energy, state, float(residual), it, k)
 
 
@@ -350,10 +383,11 @@ def strong_convergence_probe(A, x, n_list) -> np.ndarray:
     # A.T is the Fortran-ordered view of A; trans=1 applies A
     ref = zgemv(1.0, A.T, x, trans=1)
     out = np.empty(len(n_list))
-    for i, n in enumerate(n_list):
-        r = ref.copy()  # past n the residual is ref - 0
-        r[:n] -= zgemv(1.0, A.T[:n, :n], x[:n], trans=1)
-        out[i] = np.linalg.norm(r)
+    with np.errstate(all="ignore"):  # the finiteness check raises instead
+        for i, n in enumerate(n_list):
+            r = ref.copy()  # past n the residual is ref - 0
+            r[:n] -= zgemv(1.0, A.T[:n, :n], x[:n], trans=1)
+            out[i] = np.linalg.norm(r)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise OutOfFloatRange(f"strong probe residual at n={n_list[bad[0]]} is not finite")
@@ -379,8 +413,10 @@ def schatten_convergence_probe(element, weight: SobolevWeight, n_list, n_ref: in
     """
     n_list = list(n_list)
     _check_probe_sizes(n_list, n_ref)
-    half = weight.values(mode_list(n_ref)) ** -0.5
-    A_w = half[:, None] * project_operator(element, n_ref) * half[None, :]
+    A = project_operator(element, n_ref)
+    with np.errstate(all="ignore"):  # the finiteness check raises instead
+        half = weight.values(mode_list(n_ref)) ** -0.5
+        A_w = half[:, None] * A * half[None, :]
     if not np.isfinite(A_w).all():
         raise OutOfFloatRange(f"Sobolev weight s={weight.s} leaves the float range at n_ref={n_ref}")
     if not A_w.imag.any():

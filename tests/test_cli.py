@@ -2,12 +2,16 @@
 import csv
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import zetavac
 from zetavac import __version__, cli, errors, gauge
 from zetavac.cli import build_parser, main
 from zetavac.models import HydrogenParams, hydrogen_matrix
@@ -785,6 +789,20 @@ class TestLemmaProbesCommand:
         assert code == 3
         assert "error: OutOfFloatRange: " in err
         assert not out.exists()
+
+    def test_weight_out_of_float_range_prints_only_the_error(self, tmp_path):
+        # in a fresh interpreter, where NumPy's RuntimeWarnings would reach
+        # stderr ahead of the typed error
+        src = os.path.dirname(os.path.dirname(zetavac.__file__))
+        run = subprocess.run(
+            [sys.executable, "-m", "zetavac.cli", "lemma-probes", "--out", str(tmp_path / "new"),
+             "--set", "n_ref=16", "--set", "n_list=[2, 4, 8]", "--set", "sobolev_s=-200"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert run.returncode == 3
+        assert run.stderr.splitlines() == [
+            "error: OutOfFloatRange: Sobolev weight s=-200 leaves the float range at n_ref=16"
+        ]
 
 
 class TestParserBasics:

@@ -180,7 +180,7 @@ def test_certificate_rejects_excited_state():
 
 
 def test_iteration_cap_raises_without_warnings(monkeypatch):
-    # a random n = 40 matrix takes 67 iterations
+    # a random n = 40 matrix takes 68 iterations
     monkeypatch.setattr(truncation, "_MAX_ITER", 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

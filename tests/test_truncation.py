@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from zetavac.errors import (
     NonHermitianInput,
     OutOfFloatRange,
 )
-from zetavac.models import hydrogen_element, hydrogen_matrix
+from zetavac.models import HydrogenParams, hydrogen_element, hydrogen_matrix
 from zetavac.truncation import (
     SobolevWeight,
     index_of_mode,
@@ -177,8 +178,9 @@ def test_vacuum_state_norm_validated():
     assert v.n == 12
 
 
-# Diagonal 1, above the hydrogen minimum q pi / 4, so LOBPCG starts and
-# stays in a hydrogen block beside it; one eigenvalue is 1 - 45/8.
+# Diagonal 1, above the hydrogen minimum q pi / 4, and off-diagonal row
+# sums 45/8, so every row's Gershgorin disc reaches that minimum; one
+# eigenvalue is 1 - 45/8.
 TRAP = np.eye(10) - 5.0 / 8.0 * (np.ones((10, 10)) - np.eye(10))
 
 
@@ -188,13 +190,29 @@ def _certificate_block_of_failure(H) -> int:
     return int(re.search(r"leading block of (\d+) of", str(failure.value)).group(1))
 
 
-def test_certificate_finds_a_trap_in_the_leading_rows():
+def test_start_block_holds_a_trap_in_the_leading_rows():
+    # TRAP lies in the start block, whose lowest eigenvector is then
+    # TRAP's ground state and an eigenvector of H
     assert np.linalg.eigvalsh(TRAP)[0] == pytest.approx(-4.625)
     H = scipy.linalg.block_diag(TRAP, hydrogen_matrix(1000))
-    assert 10 <= _certificate_block_of_failure(H) <= 505
+    vac = vacuum_state(H)
+    assert_same_ground_pair(vac.energy, vac.state, H)
+
+
+def test_certificate_finds_a_trap_in_the_leading_rows():
+    # X = [[1, 3], [3, 10]] has eigenvalue 0.09, below the hydrogen ground
+    # level; its second row sits at position 100, past the start block, so
+    # LOBPCG stays in the hydrogen block and the certificate's leading
+    # block of 128 holds both rows of X
+    H = scipy.linalg.block_diag([[1.0, 3.0], [3.0, 10.0]], hydrogen_matrix(1000))
+    order = [0] + list(range(2, 101)) + [1] + list(range(101, 1002))
+    H = H[np.ix_(order, order)]
+    assert _certificate_block_of_failure(H) == 128
 
 
 def test_certificate_finds_a_trap_past_half_the_rows():
+    # TRAP's rows put the start block past half the rows, so LOBPCG starts
+    # from the hydrogen block's smallest diagonal entry alone
     H = scipy.linalg.block_diag(hydrogen_matrix(1000), TRAP)
     assert _certificate_block_of_failure(H) == 1010
 
@@ -215,6 +233,28 @@ def test_hydrogen_certified_by_a_leading_block():
     vac = vacuum_state(hydrogen_matrix(1050))
     assert 0 < vac.certificate_block <= 1050 // 2
     assert np.linalg.eigvalsh(hydrogen_matrix(1050))[0] >= vac.energy - 1e-10 * 1050**2 / 8
+
+
+def test_hydrogen_starts_from_its_leading_block():
+    # the exact preconditioner on the start block; from e_j alone the
+    # solve takes 15 iterations
+    assert vacuum_state(hydrogen_matrix(1050)).iterations <= 9
+
+
+def test_one_row_start_keeps_its_iteration_count():
+    # the start block of a random Hermitian matrix, every disc of which
+    # reaches the smallest diagonal entry, is that entry's row alone
+    assert vacuum_state(random_hermitian(40, seed=40)).iterations == 68
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_residual_near_the_float_range_is_finite(n):
+    # the entries of H psi - E psi are near 1e300, so their squares overflow
+    H = hydrogen_matrix(n, HydrogenParams(q=1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vac = vacuum_state(H)
+    assert vac.residual < 1e-13
 
 
 @pytest.mark.parametrize("n", [40, 200])
@@ -252,10 +292,16 @@ def _certificate_block_by_full_solves(H, energy) -> int:
     return 0
 
 
-@pytest.mark.parametrize("H", [hydrogen_matrix(512), random_hermitian(300, seed=3)], ids=["hydrogen", "random"])
+@pytest.mark.parametrize(
+    "H",
+    [hydrogen_matrix(512), hydrogen_matrix(1050), random_hermitian(300, seed=3)],
+    ids=["hydrogen", "hydrogen-1050", "random"],
+)
 def test_failing_certificate_trials_stop_after_their_next_rows(monkeypatch, H):
-    # a failing trial k solves only the columns of rows k..2k, the rows
-    # that fail; the block it settles on is that of solving all columns
+    # a failing trial k solves the columns in the chunks k..2k, 2k..4k, ...
+    # and stops after the first chunk whose rows fail on the partial sum;
+    # the block it settles on is that of solving all columns.  At n = 512
+    # the trials fail in rows k..2k, at n = 1050 the trial k = 56 in 224..448
     solves = []
     ztrsm = scipy.linalg.blas.ztrsm
 
@@ -275,7 +321,9 @@ def test_failing_certificate_trials_stop_after_their_next_rows(monkeypatch, H):
         assert not solves
         return
     assert columns.pop(block) == n - block
-    assert columns and all(m <= 2 * k for k, m in columns.items())
+    assert columns
+    for k, m in columns.items():
+        assert m < n - k and k + m in {k << i for i in range(1, n.bit_length())}
 
 
 def test_dominant_diagonal_needs_no_factorization():
@@ -313,9 +361,11 @@ def _hydrogen_probe_pair(n_ref=16):
     ids=["overflow", "nan_in_A", "nan_in_x_head", "inf_in_x_tail"],
 )
 def test_strong_probe_rejects_a_non_finite_residual(make):
-    # every probed size sees the fault, so the first one is named
+    # every probed size sees the fault, so the first one is named, with
+    # no RuntimeWarning ahead of the error
     A, x = make(*_hydrogen_probe_pair())
-    with pytest.raises(OutOfFloatRange, match="n=2 is not finite"):
+    with warnings.catch_warnings(), pytest.raises(OutOfFloatRange, match="n=2 is not finite"):
+        warnings.simplefilter("error")
         strong_convergence_probe(A, x, [2, 4])
 
 
@@ -463,8 +513,10 @@ def test_probes_reject_no_sizes(probe):
 @pytest.mark.parametrize("s", [-200.0, -1e300])
 def test_schatten_probe_rejects_a_weight_out_of_float_range(s):
     # (1 + k^2)^s underflows to 0 for the outer modes, so the weighted
-    # identity holds inf on the diagonal and NaN (inf * 0 * inf) off it
-    with pytest.raises(OutOfFloatRange, match=re.escape(f"s={s}")):
+    # identity holds inf on the diagonal and NaN (inf * 0 * inf) off it;
+    # the error comes with no RuntimeWarning ahead of it
+    with warnings.catch_warnings(), pytest.raises(OutOfFloatRange, match=re.escape(f"s={s}")):
+        warnings.simplefilter("error")
         schatten_convergence_probe(lambda l, k: float(l == k), SobolevWeight(s), [2, 4, 8], n_ref=16)
 
 
