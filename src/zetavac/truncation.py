@@ -153,8 +153,8 @@ def _column_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.square(X.T.view(float)).sum(axis=1))
 
 
-# A hydrogen solve takes 6-12 iterations at n = 8..4096, a random
-# Hermitian matrix 68-509 at n = 40..2048.
+# A hydrogen solve takes 6-12 iterations at n = 8..4096; the tests'
+# random_hermitian(n, seed=n) takes 68 at n = 40 and 509 at n = 2048.
 _MAX_ITER = 5000
 
 
@@ -166,16 +166,20 @@ def vacuum_state(H) -> DiscretizedVacuum:
     Gershgorin disc reaches the smallest diagonal entry d_j
     (d_i - R_i <= d_j, R_i the off-diagonal row sum), or row j alone when
     that is more than half the rows.  The start vector x is the block's
-    lowest eigenvector (``zheev``), zero-padded, with Rayleigh quotient
-    theta and residual rho = ||H x - theta x||.  The preconditioner is
+    lowest eigenvector, zero-padded, with Rayleigh quotient theta and
+    residual rho = ||H x - theta x||.  The block's eigenpairs come from
+    the divide-and-conquer ``zheevd``: a strong potential widens the block
+    (hydrogen at q = 6e4 and n = 4096 has 1991 rows), and at 500 to 2000
+    rows it is 6 to 7 times faster than ``zheev``.  The preconditioner is
     U diag(1 / (lambda - theta + rho)) U^H on the block, lambda and U its
     eigenpairs, and 1 / (d_i - theta + rho) on the other rows.  Both are
     positive for any Hermitian H: lambda >= theta up to rounding, and a
     row outside the block has d_i > d_j >= theta, since the block's lowest
     eigenvalue is at most its diagonal entry d_j; each difference is
     clipped at 0 against rounding.  Neither changes when H is shifted by
-    a multiple of the identity.  A one-row block is e_j with the diagonal
-    preconditioner 1 / (d - d_j + ||H[:, j] off the diagonal||).  On
+    a multiple of the identity.  A one-row block has U = [[1]] and
+    lambda = d_j, so it is e_j with the diagonal preconditioner
+    1 / (d - d_j + ||H[:, j] off the diagonal||).  On
     hydrogen the block is the low modes, where the potential couples rows
     as strongly as the kinetic diagonal separates them, and its exact
     inverse about halves the iterations.  Each iteration takes one product
@@ -241,23 +245,19 @@ def vacuum_state(H) -> DiscretizedVacuum:
     n = M.shape[0]
     d = M.diagonal().real
     j = int(np.argmin(d))
-    # the start block: rows :b, or row j alone (b = 1) when that is over half of them
+    # the start block: rows :b, or row j alone when that is over half of them
     b = int(np.flatnonzero(d - off <= d[j])[-1]) + 1
-    if 2 * b > n:
-        b = 1
+    blk = slice(0, b) if 2 * b <= n else slice(j, j + 1)
+    # one row gives U = [[1]] and lam = [d_j] exactly
+    lam, U, info = lapack.zheevd(M[blk, blk])
+    if info != 0:
+        raise ConvergenceFailure(f"start block eigensolve failed (info={info})")
     # columns: the iterate x, the previous direction p (from the second
     # iteration on) and the preconditioned residual w; HV holds H times each
     V = np.zeros((n, 3), dtype=complex, order="F")
     HV = np.zeros_like(V)
-    if b == 1:
-        V[j, 0] = 1.0
-        HV[:, 0] = M[:, j]
-    else:
-        lam, U, info = lapack.zheev(M[:b, :b])
-        if info != 0:
-            raise ConvergenceFailure(f"start block eigensolve failed (info={info})")
-        V[:b, 0] = U[:, 0]
-        HV[:, 0] = blas.zgemv(1.0, M.T[:b], U[:, 0], trans=1)  # H[:, :b] u
+    V[blk, 0] = U[:, 0]
+    HV[:, 0] = blas.zgemv(1.0, M.T[blk], U[:, 0], trans=1)  # H[:, blk] u
     k = 1
     for it in range(_MAX_ITER):
         theta = blas.zdotc(V[:, 0], HV[:, 0]).real
@@ -267,12 +267,11 @@ def vacuum_state(H) -> DiscretizedVacuum:
             break
         if it == 0:  # r is H x outside the start block
             precond = 1.0 / (np.maximum(d - theta, 0.0) + rnorm)
-            if b > 1:
-                block_precond = 1.0 / (np.maximum(lam - theta, 0.0) + rnorm)
+            block_precond = 1.0 / (np.maximum(lam - theta, 0.0) + rnorm)
         w = precond * r
-        if b > 1:  # U diag(block_precond) U^H on the start block
-            c = blas.zgemv(1.0, U, r[:b], trans=2)
-            w[:b] = blas.zgemv(1.0, U, block_precond * c)
+        # U diag(block_precond) U^H on the start block
+        c = blas.zgemv(1.0, U, r[blk], trans=2)
+        w[blk] = blas.zgemv(1.0, U, block_precond * c)
         for _ in range(2):  # Gram-Schmidt against x and p, twice
             c = blas.zgemv(1.0, V[:, :k], w, trans=2)
             w = blas.zgemv(-1.0, V[:, :k], c, beta=1.0, y=w, overwrite_y=1)

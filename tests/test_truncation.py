@@ -241,6 +241,16 @@ def test_hydrogen_starts_from_its_leading_block():
     assert vacuum_state(hydrogen_matrix(1050)).iterations <= 9
 
 
+def test_wide_start_block_gives_the_ground_pair():
+    # at q = 100 the start block holds 67 of 256 rows, past the 25 from
+    # which zheevd divides and conquers; from e_j alone the solve takes
+    # 107 iterations, from the block 12
+    H = hydrogen_matrix(256, HydrogenParams(q=100.0))
+    vac = vacuum_state(H)
+    assert_same_ground_pair(vac.energy, vac.state, H)
+    assert vac.iterations <= 15
+
+
 def test_one_row_start_keeps_its_iteration_count():
     # the start block of a random Hermitian matrix, every disc of which
     # reaches the smallest diagonal entry, is that entry's row alone
@@ -293,15 +303,21 @@ def _certificate_block_by_full_solves(H, energy) -> int:
 
 
 @pytest.mark.parametrize(
-    "H",
-    [hydrogen_matrix(512), hydrogen_matrix(1050), random_hermitian(300, seed=3)],
+    "H, longer",
+    [
+        (hydrogen_matrix(512), {}),
+        (hydrogen_matrix(1050), {56: 56 + 112 + 224}),
+        (random_hermitian(300, seed=3), {}),
+    ],
     ids=["hydrogen", "hydrogen-1050", "random"],
 )
-def test_failing_certificate_trials_stop_after_their_next_rows(monkeypatch, H):
+def test_failing_certificate_trials_stop_after_their_next_rows(monkeypatch, H, longer):
     # a failing trial k solves the columns in the chunks k..2k, 2k..4k, ...
     # and stops after the first chunk whose rows fail on the partial sum;
     # the block it settles on is that of solving all columns.  At n = 512
-    # the trials fail in rows k..2k, at n = 1050 the trial k = 56 in 224..448
+    # every failing trial fails in rows k..2k, after its first chunk of k
+    # columns; at n = 1050 the trials in longer run on: k = 56 fails in
+    # rows 224..448, after 392 of its 994 columns
     solves = []
     ztrsm = scipy.linalg.blas.ztrsm
 
@@ -323,7 +339,7 @@ def test_failing_certificate_trials_stop_after_their_next_rows(monkeypatch, H):
     assert columns.pop(block) == n - block
     assert columns
     for k, m in columns.items():
-        assert m < n - k and k + m in {k << i for i in range(1, n.bit_length())}
+        assert m == longer.get(k, k) and m < n - k
 
 
 def test_dominant_diagonal_needs_no_factorization():
