@@ -32,7 +32,7 @@ _HERMITIAN_TOL = 1e-12
 
 
 def _hermitian_and_scale(M):
-    """``require_hermitian``, also returning max|M| and off-diagonal row sums.
+    """``require_hermitian``, also returning max|M|, off-diagonal row sums and max|M - M^H|.
 
     Each upper-triangle tile is compared with the conjugate of its mirror
     tile, so every entry is read once and no n x n temporary is formed.
@@ -84,7 +84,7 @@ def _hermitian_and_scale(M):
             f"matrix deviates from Hermitian symmetry by {dev:.3e} "
             f"(allowed {_HERMITIAN_TOL:.1e} * {scale:.3e})"
         )
-    return M, float(scale), off
+    return M, float(scale), off, float(dev)
 
 
 def require_hermitian(M) -> np.ndarray:

@@ -153,8 +153,8 @@ def _column_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.square(X.T.view(float)).sum(axis=1))
 
 
-# A hydrogen solve takes 6-12 iterations at n = 8..4096; the tests'
-# random_hermitian(n, seed=n) takes 68 at n = 40 and 509 at n = 2048.
+# A hydrogen solve takes 6-12 iterations at n = 8..4096 and 12 at q = 300,
+# n = 128; a random Hermitian matrix starts from all its rows and takes 0 or 1.
 _MAX_ITER = 5000
 
 
@@ -164,28 +164,30 @@ def vacuum_state(H) -> DiscretizedVacuum:
     Block-size-1 LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517)
     from the start block: the leading rows up to the last one whose own
     Gershgorin disc reaches the smallest diagonal entry d_j
-    (d_i - R_i <= d_j, R_i the off-diagonal row sum), or row j alone when
-    that is more than half the rows.  The start vector x is the block's
-    lowest eigenvector, zero-padded, with Rayleigh quotient theta and
-    residual rho = ||H x - theta x||.  The block's eigenpairs come from
-    the divide-and-conquer ``zheevd``: a strong potential widens the block
-    (hydrogen at q = 6e4 and n = 4096 has 1991 rows), and at 500 to 2000
-    rows it is 6 to 7 times faster than ``zheev``.  The preconditioner is
+    (d_i - R_i <= d_j, R_i the off-diagonal row sum), row j among them.
+    The start vector x is the block's lowest eigenvector, zero-padded,
+    with Rayleigh quotient theta and residual rho = ||H x - theta x||.
+    The block's eigenpairs come from the divide-and-conquer ``zheevd``:
+    a strong potential widens the block (hydrogen at q = 7e4 and n = 4096
+    has 2147 rows), and at 500 to 2000 rows it is 6 to 7 times faster
+    than ``zheev``; it solves a random Hermitian matrix, every disc of
+    which reaches d_j, whole.  The preconditioner is
     U diag(1 / (lambda - theta + rho)) U^H on the block, lambda and U its
     eigenpairs, and 1 / (d_i - theta + rho) on the other rows.  Both are
     positive for any Hermitian H: lambda >= theta up to rounding, and a
     row outside the block has d_i > d_j >= theta, since the block's lowest
     eigenvalue is at most its diagonal entry d_j; each difference is
     clipped at 0 against rounding.  Neither changes when H is shifted by
-    a multiple of the identity.  A one-row block has U = [[1]] and
-    lambda = d_j, so it is e_j with the diagonal preconditioner
-    1 / (d - d_j + ||H[:, j] off the diagonal||).  On
-    hydrogen the block is the low modes, where the potential couples rows
-    as strongly as the kinetic diagonal separates them, and its exact
-    inverse about halves the iterations.  Each iteration takes one product
-    with H and a Rayleigh-Ritz step on the orthonormalised span of the
-    iterate, the preconditioned residual and the previous direction.  It
-    stops once ||H x - theta x||_2 <= 1e-14 * max|H|.
+    a multiple of the identity.  A one-row block (row 0 alone) is e_0
+    with the diagonal preconditioner.  On hydrogen the block is the low
+    modes, where the potential couples rows as strongly as the kinetic
+    diagonal separates them, and its exact inverse about halves the
+    iterations.  Each iteration takes one product with H and a
+    Rayleigh-Ritz step on the orthonormalised span of the iterate, the
+    preconditioned residual and the previous direction.  It stops once
+    ||H x - theta x||_2 <= 1e-14 * max|H|.  Input whose asymmetry is
+    within ``require_hermitian``'s tolerance is first mirrored from its
+    upper triangle, the one ``zheevd`` and ``zpotrf`` read.
 
     An iterative solve can stop on an excited state whose eigenvector the
     start vector is orthogonal to, so the result is certified: no
@@ -239,25 +241,25 @@ def vacuum_state(H) -> DiscretizedVacuum:
     come from a fresh product H psi, since theta comes from the
     recursively updated H x.
     """
-    M, scale, off = _hermitian_and_scale(H)
+    M, scale, off, dev = _hermitian_and_scale(H)
     scale = max(scale, np.finfo(float).tiny)
     blas, lapack = scipy.linalg.blas, scipy.linalg.lapack
     n = M.shape[0]
     d = M.diagonal().real
-    j = int(np.argmin(d))
-    # the start block: rows :b, or row j alone when that is over half of them
-    b = int(np.flatnonzero(d - off <= d[j])[-1]) + 1
-    blk = slice(0, b) if 2 * b <= n else slice(j, j + 1)
-    # one row gives U = [[1]] and lam = [d_j] exactly
-    lam, U, info = lapack.zheevd(M[blk, blk])
+    if dev:  # the Hermitian matrix that M's upper triangle, off and scale describe
+        M = np.triu(M, 1)
+        M += M.conj().T + np.diag(d)
+    # the start block: rows :b, up to the last disc reaching min(d)
+    b = int(np.flatnonzero(d - off <= d.min())[-1]) + 1
+    lam, U, info = lapack.zheevd(M[:b, :b])
     if info != 0:
         raise ConvergenceFailure(f"start block eigensolve failed (info={info})")
     # columns: the iterate x, the previous direction p (from the second
     # iteration on) and the preconditioned residual w; HV holds H times each
     V = np.zeros((n, 3), dtype=complex, order="F")
     HV = np.zeros_like(V)
-    V[blk, 0] = U[:, 0]
-    HV[:, 0] = blas.zgemv(1.0, M.T[blk], U[:, 0], trans=1)  # H[:, blk] u
+    V[:b, 0] = U[:, 0]
+    HV[:, 0] = blas.zgemv(1.0, M.T[:b], U[:, 0], trans=1)  # H[:, :b] u
     k = 1
     for it in range(_MAX_ITER):
         theta = blas.zdotc(V[:, 0], HV[:, 0]).real
@@ -270,8 +272,8 @@ def vacuum_state(H) -> DiscretizedVacuum:
             block_precond = 1.0 / (np.maximum(lam - theta, 0.0) + rnorm)
         w = precond * r
         # U diag(block_precond) U^H on the start block
-        c = blas.zgemv(1.0, U, r[blk], trans=2)
-        w[blk] = blas.zgemv(1.0, U, block_precond * c)
+        c = blas.zgemv(1.0, U, r[:b], trans=2)
+        w[:b] = blas.zgemv(1.0, U, block_precond * c)
         for _ in range(2):  # Gram-Schmidt against x and p, twice
             c = blas.zgemv(1.0, V[:, :k], w, trans=2)
             w = blas.zgemv(-1.0, V[:, :k], c, beta=1.0, y=w, overwrite_y=1)

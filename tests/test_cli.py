@@ -910,3 +910,16 @@ def test_boundary_inputs_end_as_documented(base, key, tmp_path, capsys):
         if not ok:
             wrong.append((value, code, last))
     assert not wrong
+
+
+@pytest.mark.parametrize("base", ["hydrogen-convergence", "lemma-probes"])
+def test_strong_coupling_solves_at_the_reference_size(base, tmp_path, capsys):
+    # q = 1e12 at n_ref = 16: every Gershgorin disc of the reference
+    # matrix reaches its smallest diagonal entry, so the start block holds
+    # every row; from row j alone the iteration does not resolve the
+    # relative gap of 2.6e-9 within its cap
+    argv = [base, "--out", str(tmp_path)]
+    for item in _SWEEP_BASES[base] + ["q=1e12"]:
+        argv += ["--set", item]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err

@@ -5,6 +5,7 @@ import pytest
 
 from zetavac import spectral, truncation
 from zetavac.errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
+from zetavac.models import hydrogen_matrix
 from zetavac.spectral import (
     EigenSystem,
     eig_hermitian,
@@ -69,10 +70,10 @@ def test_require_hermitian_finds_one_non_finite_entry_in_any_tile(i, j, bad):
 def test_hermitian_scale_is_the_largest_magnitude(i, j):
     M = random_hermitian(TILED_N, seed=10)
     M[i, j] = M[j, i] = 7.0  # the largest entry, placed in the tile under test
-    checked, scale, _ = spectral._hermitian_and_scale(M)
-    assert scale == np.abs(M).max() == 7.0
+    checked, scale, _, dev = spectral._hermitian_and_scale(M)
+    assert scale == np.abs(M).max() == 7.0 and dev == 0.0
     assert checked is M  # complex input is validated in place, not copied
-    checked, scale, _ = spectral._hermitian_and_scale(M.real)
+    checked, scale, _, _ = spectral._hermitian_and_scale(M.real)
     assert scale == np.abs(M.real).max()
 
 
@@ -83,15 +84,16 @@ def test_hermitian_scale_of_a_within_tolerance_asymmetry_is_the_upper_one():
     M = random_hermitian(TILED_N, seed=12)
     M[3, MID] = 7.0
     M[MID, 3] = 7.0 * (1.0 + 5e-13)
-    _, scale, _ = spectral._hermitian_and_scale(M)
+    _, scale, _, dev = spectral._hermitian_and_scale(M)
     assert scale == 7.0 < np.abs(M).max()
+    assert dev == abs(M[3, MID] - M[MID, 3])
     assert np.abs(M).max() - scale <= spectral._HERMITIAN_TOL * scale
 
 
 def test_off_diagonal_row_sums_are_those_of_the_upper_triangle():
     M = random_hermitian(TILED_N, seed=11)
     upper = np.triu(M, 1)
-    _, _, off = spectral._hermitian_and_scale(M)
+    _, _, off, _ = spectral._hermitian_and_scale(M)
     np.testing.assert_allclose(off, np.abs(upper + upper.conj().T).sum(axis=1), rtol=1e-13, atol=0)
     # entries below the tolerance, in the lower triangle only: M passes, and
     # the Hermitian matrix its upper triangle defines (what zpotrf reads)
@@ -99,14 +101,14 @@ def test_off_diagonal_row_sums_are_those_of_the_upper_triangle():
     D = np.diag(np.arange(1.0, TILED_N + 1)).astype(complex)
     D[LAST, 3] = 1e-13
     D[MID, 7] = 1e-13j
-    _, _, off = spectral._hermitian_and_scale(D)
+    _, _, off, _ = spectral._hermitian_and_scale(D)
     assert not off.any()
 
 
 def test_require_hermitian_edge_shapes():
-    empty, scale, _ = spectral._hermitian_and_scale(np.zeros((0, 0)))
+    empty, scale, _, _ = spectral._hermitian_and_scale(np.zeros((0, 0)))
     assert empty.shape == (0, 0) and empty.dtype == complex and scale == 0.0
-    one, scale, _ = spectral._hermitian_and_scale([[-2.5]])
+    one, scale, _, _ = spectral._hermitian_and_scale([[-2.5]])
     assert one.tolist() == [[-2.5 + 0j]] and scale == 2.5
     with pytest.raises(NonHermitianInput):
         require_hermitian([[1j]])
@@ -168,24 +170,26 @@ def test_smallest_eigenpair_diagonal():
 
 
 def test_certificate_rejects_excited_state():
-    # e_0 sits at the smallest diagonal entry and is an exact eigenvector
-    # with eigenvalue 0, so the iteration stops there at once; the other
-    # block has eigenvalues -4 and 13/8, and only the Cholesky sees the -4
-    block = np.eye(9) - 5.0 / 8.0 * (np.ones((9, 9)) - np.eye(9))
-    M = np.zeros((10, 10))
-    M[1:, 1:] = block
-    assert np.linalg.eigvalsh(M)[0] == pytest.approx(-4.0)
+    # the start block is rows 0-1, whose lowest eigenvector (1, -1) / sqrt2
+    # (eigenvalue -0.01) row 2 couples to with equal weights: an exact
+    # eigenvector of M, so the iteration stops there at once.  (1, 1) / sqrt2
+    # and row 2 give the ground level -0.233, which only the Cholesky sees
+    c = np.sqrt(0.15)
+    M = np.diag([0.0, 0.0, 1.0, 100.0, 100.0])
+    M[0, 1] = M[1, 0] = 0.01
+    M[2, :2] = M[:2, 2] = c
+    assert np.linalg.eigvalsh(M)[0] == pytest.approx(-0.233, abs=1e-3)
     with pytest.raises(ConvergenceFailure, match="eigenvalue lies below"):
         vacuum_state(M)
 
 
 def test_iteration_cap_raises_without_warnings(monkeypatch):
-    # a random n = 40 matrix takes 68 iterations
+    # hydrogen at n = 50 takes 12 iterations
     monkeypatch.setattr(truncation, "_MAX_ITER", 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceFailure, match="after 5 iterations"):
-            vacuum_state(random_hermitian(40, seed=40))
+            vacuum_state(hydrogen_matrix(50))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
