@@ -38,8 +38,9 @@ class SeriesDivergence(ArithmeticError):
 
 
 class OutOfFloatRange(ArithmeticError):
-    """A closed-form term, a VQE energy or gradient, a strong-probe residual
-    or a Sobolev-weighted Schatten-probe operator leaves the float range."""
+    """A closed-form term, a VQE energy or gradient, a strong-probe residual,
+    a Sobolev-weighted Schatten-probe operator or an eigenvalue of
+    ``eig_hermitian`` leaves the float range."""
 
 
 class NonPositiveSpectrum(ValueError):

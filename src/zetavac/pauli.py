@@ -15,8 +15,9 @@ OpenBLAS pool, with the truncation probes and ``vacuum_state`` (the
 ``truncation`` module docstring states the rule).  ``reconstruct`` runs
 the same maps from word digits to entry digits and de-interleaves once
 at the end.  Each output of a map is a sum of exactly two nonzero
-terms, each a product with 1, -1, i or -i, so the result does not
-depend on how the matrix product orders its sums.  The cost is O(Q 4^Q).
+terms, each a product with 1, -1, i or -i (halved in ``decompose``'s
+maps), so the result does not depend on how the matrix product orders
+its sums.  The cost is O(Q 4^Q).
 """
 from __future__ import annotations
 
@@ -45,9 +46,10 @@ SIGMA = np.array(
     dtype=complex,
 )
 
-# Digit maps: _TO_WORD[2j + k, d] = SIGMA[d, k, j] gives tr(M S^q) one
-# qubit at a time; _TO_ENTRY[d, 2j + k] = SIGMA[d, j, k] sums the words.
-_TO_WORD = SIGMA.transpose(2, 1, 0).reshape(4, 4)
+# Digit maps: _TO_WORD[2j + k, d] = SIGMA[d, k, j] / 2 gives tr(M S^q) / 2^Q
+# one qubit at a time, each map an average, so no partial sum exceeds
+# max|M|; _TO_ENTRY[d, 2j + k] = SIGMA[d, j, k] sums the words.
+_TO_WORD = SIGMA.transpose(2, 1, 0).reshape(4, 4) / 2
 _TO_ENTRY = SIGMA.reshape(4, 4)
 
 
@@ -96,9 +98,9 @@ def decompose(M) -> PauliCoefficients:
     """Coefficients c_q = tr(M S^q) / 2^Q for a Hermitian M.
 
     One digit map per qubit (see the module docstring) keeps the cost at
-    O(Q 4^Q) instead of the O(16^Q) of materializing every word.
-    Hermitian input guarantees real coefficients; residual imaginary
-    parts beyond rounding raise.
+    O(Q 4^Q) instead of the O(16^Q) of materializing every word.  The
+    maps treat an entry and its mirror alike, which ``require_hermitian``
+    makes exact conjugates, so every imaginary part is exactly 0.
     """
     M = require_hermitian(M)
     Q = _qubit_count(M.shape[0])
@@ -106,13 +108,7 @@ def decompose(M) -> PauliCoefficients:
     # copied, since the maps overwrite it
     interleave = [axis for t in range(Q) for axis in (t, Q + t)]
     T = M.reshape((2,) * (2 * Q)).transpose(interleave).copy().reshape(-1)
-    c = _map_digits(T, _TO_WORD, Q)
-    c /= 2**Q
-    scale = max(np.abs(c).max(), 1.0)
-    imag = np.abs(c.imag).max()
-    if imag > 1e-12 * scale:
-        raise ValueError(f"coefficients have imaginary part {imag:.3e}")
-    return PauliCoefficients(Q, c.real)
+    return PauliCoefficients(Q, _map_digits(T, _TO_WORD, Q).real)
 
 
 def reconstruct(c: PauliCoefficients) -> np.ndarray:

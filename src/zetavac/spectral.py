@@ -1,7 +1,10 @@
 """Dense Hermitian spectral tools.
 
 Hermitian-input validation and eigendecomposition with a deterministic
-eigenvector phase convention.  Functions of an operator (H^z, damped
+eigenvector phase convention.  An accepted input stands for the
+Hermitian matrix its upper triangle defines, the one ``require_hermitian``
+returns to ``eig_hermitian``, ``truncation.vacuum_state`` and
+``pauli.decompose`` alike.  Functions of an operator (H^z, damped
 evolution) are never assembled as matrices: ``gauge`` evaluates them as
 sums over the spectrum.  ``eig_hermitian`` runs in NumPy's LAPACK; the
 ground-state solve, ``truncation.vacuum_state``, runs in SciPy's (the
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
+from .errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput, OutOfFloatRange
 
 __all__ = [
     "EigenSystem",
@@ -32,20 +35,17 @@ _HERMITIAN_TOL = 1e-12
 
 
 def _hermitian_and_scale(M):
-    """``require_hermitian``, also returning max|M|, off-diagonal row sums and max|M - M^H|.
+    """``require_hermitian``, also returning max|M| and the off-diagonal row sums.
 
     Each upper-triangle tile is compared with the conjugate of its mirror
-    tile, so every entry is read once and no n x n temporary is formed.
-    max|M| and ``off[i]`` are taken from the |upper| tiles while they are
-    in cache: max|M| over the upper triangle, diagonal included, and
-    ``off[i]`` the sum of |M_ij| over j != i, both of the Hermitian matrix
-    that M's upper triangle defines, the matrix a LAPACK routine reading
-    that triangle sees.  Each tile adds its row sums to its rows and its
-    column sums to the mirror rows.  For exactly Hermitian input max|M| is
-    that of the whole matrix; an asymmetry within the tolerance can put
-    the whole matrix's max|M| above it by at most 1e-12 times it.  A mirror tile enters only through upper - conj(lower^T),
-    so a NaN or inf there still makes a deviation non-finite and is
-    rejected.  max|M| is 0.0 for an empty matrix.
+    tile, so every entry is read once and the check forms no n x n
+    temporary.  max|M| and ``off[i]``, the sum of |M_ij| over j != i, are taken from
+    the |upper| tiles while they are in cache: each tile adds its row sums
+    to its rows and its column sums to the mirror rows.  Both describe the
+    returned matrix, the one the upper triangle defines.  A mirror tile
+    enters only through upper - conj(lower^T), so a NaN or inf there still
+    makes a deviation non-finite and is rejected.  max|M| is 0.0 for an
+    empty matrix.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -84,18 +84,25 @@ def _hermitian_and_scale(M):
             f"matrix deviates from Hermitian symmetry by {dev:.3e} "
             f"(allowed {_HERMITIAN_TOL:.1e} * {scale:.3e})"
         )
-    return M, float(scale), off, float(dev)
+    if dev:  # mirror the upper triangle, with a real diagonal
+        diagonal = M.diagonal().real
+        M = np.triu(M, 1)
+        M += M.conj().T
+        np.fill_diagonal(M, diagonal)
+    return M, float(scale), off
 
 
 def require_hermitian(M) -> np.ndarray:
-    """Validate Hermitian symmetry and return ``M`` as a complex array.
+    """Validate Hermitian symmetry and return the matrix the upper triangle defines.
 
     The 1e-12 tolerance is relative to the largest entry magnitude of the
     upper triangle, diagonal included, so matrices assembled from
     floating-point arithmetic pass as long as their asymmetry is at
-    rounding level.  NaN or infinite entries are rejected,
-    since no symmetry test can hold on them; so is an entry whose
-    magnitude overflows.
+    rounding level.  Exactly Hermitian complex input comes back as the
+    same array; input within the tolerance comes back as one copy whose
+    lower triangle mirrors the upper one and whose diagonal is real.
+    NaN or infinite entries are rejected, since no symmetry test can hold
+    on them; so is an entry whose magnitude overflows.
     """
     return _hermitian_and_scale(M)[0]
 
@@ -132,11 +139,14 @@ def eig_hermitian(M) -> EigenSystem:
 
     Eigenvalues come back ascending; eigenvector phases are fixed by making
     the largest-magnitude component of each column real-positive, which makes
-    repeated runs bit-reproducible.
+    repeated runs bit-reproducible.  An eigenvalue that overflows the
+    float range, possible when entries are near it, raises OutOfFloatRange.
     """
     M = require_hermitian(M)
     try:
         vals, vecs = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceFailure(f"dense eigensolver did not converge: {exc}") from exc
+    if not np.isfinite(vals).all():
+        raise OutOfFloatRange("an eigenvalue leaves the float range")
     return EigenSystem(vals, _fix_phases(vecs))

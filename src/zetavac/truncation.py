@@ -185,9 +185,7 @@ def vacuum_state(H) -> DiscretizedVacuum:
     iterations.  Each iteration takes one product with H and a
     Rayleigh-Ritz step on the orthonormalised span of the iterate, the
     preconditioned residual and the previous direction.  It stops once
-    ||H x - theta x||_2 <= 1e-14 * max|H|.  Input whose asymmetry is
-    within ``require_hermitian``'s tolerance is first mirrored from its
-    upper triangle, the one ``zheevd`` and ``zpotrf`` read.
+    ||H x - theta x||_2 <= 1e-14 * max|H|.
 
     An iterative solve can stop on an excited state whose eigenvector the
     start vector is orthogonal to, so the result is certified: no
@@ -221,8 +219,8 @@ def vacuum_state(H) -> DiscretizedVacuum:
     eta = k^2 eps sqrt(2 (max|H| + |sigma|) / delta): 4e-7 at k = 112,
     below 1 for k < 1.8e5 when |sigma| <= max|H|.  A leading block with
     an eigenvalue within delta / 2 above sigma is outside this bound.
-    R_i, from the upper triangle that zpotrf reads, sums n rounded
-    magnitudes, and the left side rounds at the scale of its terms, so
+    R_i sums n rounded magnitudes, and the left side rounds at the scale
+    of its terms, so
 
         margin_i = 3 eta ||w_i|| sum_j ||w_j|| + 3 n eps (R_i + |H_ii| + |sigma|).
 
@@ -241,14 +239,11 @@ def vacuum_state(H) -> DiscretizedVacuum:
     come from a fresh product H psi, since theta comes from the
     recursively updated H x.
     """
-    M, scale, off, dev = _hermitian_and_scale(H)
+    M, scale, off = _hermitian_and_scale(H)
     scale = max(scale, np.finfo(float).tiny)
     blas, lapack = scipy.linalg.blas, scipy.linalg.lapack
     n = M.shape[0]
     d = M.diagonal().real
-    if dev:  # the Hermitian matrix that M's upper triangle, off and scale describe
-        M = np.triu(M, 1)
-        M += M.conj().T + np.diag(d)
     # the start block: rows :b, up to the last disc reaching min(d)
     b = int(np.flatnonzero(d - off <= d.min())[-1]) + 1
     lam, U, info = lapack.zheevd(M[:b, :b])

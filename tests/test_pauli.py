@@ -5,6 +5,7 @@ basis word; the tests rebuild every word with plain np.kron from a local
 copy of the 2x2 matrices and compare traces.
 """
 import math
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -89,6 +90,26 @@ class TestDecompose:
         rhs = 2.0 * decompose(A).coeffs - 0.5 * decompose(B).coeffs
         assert_allclose(lhs, rhs, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "M, want",
+        [(np.diag([1e308, 1e308]), [1e308, 0.0, 0.0, 0.0]),
+         (np.array([[0.0, 1e308j], [-1e308j, 0.0]]), [0.0, 0.0, -1e308, 0.0])],
+        ids=["identity", "sigma_y"],
+    )
+    def test_coefficients_near_the_float_range_are_finite(self, M, want):
+        # each coefficient is at most max|M|, but tr(M S^q) can overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert decompose(M).coeffs.tolist() == want
+
+    def test_input_within_tolerance_means_its_upper_triangle(self):
+        M = random_hermitian(16, seed=23)
+        rng = np.random.default_rng(23)
+        M += 1e-13 * (rng.standard_normal(M.shape) + 1j * rng.standard_normal(M.shape))
+        upper = np.triu(M, 1)
+        mirror = upper + upper.conj().T + np.diag(M.diagonal().real)
+        assert decompose(M).coeffs.tobytes() == decompose(mirror).coeffs.tobytes()
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianInput):
             decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -107,6 +128,16 @@ def test_matches_tensordot_contraction_bitwise(Q, kind):
     c = decompose(M)
     assert np.array_equal(c.coeffs, tensordot_decompose(M))
     assert np.array_equal(reconstruct(c), tensordot_reconstruct(c.coeffs, Q))
+
+
+@pytest.mark.parametrize("kind", ["random", "hydrogen"])
+@pytest.mark.parametrize("Q", [2, 5, 8])
+def test_word_coefficients_of_hermitian_input_are_exactly_real(Q, kind):
+    # decompose keeps only the real part, on the strength of this
+    M = random_hermitian(2**Q, seed=400 + Q) if kind == "random" else hydrogen_matrix(2**Q)
+    interleave = [axis for t in range(Q) for axis in (t, Q + t)]
+    T = M.reshape((2,) * (2 * Q)).transpose(interleave).copy().reshape(-1)
+    assert not _map_digits(T, _TO_WORD, Q).imag.any()
 
 
 @pytest.mark.parametrize("G", [_TO_WORD, _TO_ENTRY], ids=["to_word", "to_entry"])

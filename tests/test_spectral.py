@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zetavac import spectral, truncation
-from zetavac.errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput
+from zetavac.errors import ConvergenceFailure, DimensionMismatch, NonHermitianInput, OutOfFloatRange
 from zetavac.models import hydrogen_matrix
 from zetavac.spectral import (
     EigenSystem,
@@ -70,45 +70,75 @@ def test_require_hermitian_finds_one_non_finite_entry_in_any_tile(i, j, bad):
 def test_hermitian_scale_is_the_largest_magnitude(i, j):
     M = random_hermitian(TILED_N, seed=10)
     M[i, j] = M[j, i] = 7.0  # the largest entry, placed in the tile under test
-    checked, scale, _, dev = spectral._hermitian_and_scale(M)
-    assert scale == np.abs(M).max() == 7.0 and dev == 0.0
-    assert checked is M  # complex input is validated in place, not copied
-    checked, scale, _, _ = spectral._hermitian_and_scale(M.real)
+    checked, scale, _ = spectral._hermitian_and_scale(M)
+    assert scale == np.abs(M).max() == 7.0
+    assert checked is M  # exactly Hermitian complex input is neither copied nor mirrored
+    checked, scale, _ = spectral._hermitian_and_scale(M.real)
     assert scale == np.abs(M.real).max()
 
 
 def test_hermitian_scale_of_a_within_tolerance_asymmetry_is_the_upper_one():
-    # scale is max|M| over the upper triangle, diagonal included: the
-    # largest entry of the Hermitian matrix that triangle defines, at most
-    # the tolerance below max|M| over the whole matrix
+    # the returned matrix mirrors the upper triangle, so its max|M| is
+    # scale, below the input's
     M = random_hermitian(TILED_N, seed=12)
     M[3, MID] = 7.0
     M[MID, 3] = 7.0 * (1.0 + 5e-13)
-    _, scale, _, dev = spectral._hermitian_and_scale(M)
+    checked, scale, _ = spectral._hermitian_and_scale(M)
     assert scale == 7.0 < np.abs(M).max()
-    assert dev == abs(M[3, MID] - M[MID, 3])
-    assert np.abs(M).max() - scale <= spectral._HERMITIAN_TOL * scale
+    assert checked is not M and checked[MID, 3] == checked[3, MID] == 7.0
+    assert np.abs(checked).max() == scale
 
 
 def test_off_diagonal_row_sums_are_those_of_the_upper_triangle():
     M = random_hermitian(TILED_N, seed=11)
     upper = np.triu(M, 1)
-    _, _, off, _ = spectral._hermitian_and_scale(M)
+    _, _, off = spectral._hermitian_and_scale(M)
     np.testing.assert_allclose(off, np.abs(upper + upper.conj().T).sum(axis=1), rtol=1e-13, atol=0)
     # entries below the tolerance, in the lower triangle only: M passes, and
-    # the Hermitian matrix its upper triangle defines (what zpotrf reads)
-    # is diagonal
+    # the Hermitian matrix its upper triangle defines is diagonal
     D = np.diag(np.arange(1.0, TILED_N + 1)).astype(complex)
     D[LAST, 3] = 1e-13
     D[MID, 7] = 1e-13j
-    _, _, off, _ = spectral._hermitian_and_scale(D)
+    checked, _, off = spectral._hermitian_and_scale(D)
     assert not off.any()
+    assert np.array_equal(checked, np.diag(np.arange(1.0, TILED_N + 1)))
+
+
+def test_require_hermitian_mirrors_the_upper_triangle():
+    # an asymmetry within the tolerance in both triangles and on the diagonal
+    M = random_hermitian(TILED_N, seed=13)
+    rng = np.random.default_rng(13)
+    M += 1e-13 * (rng.standard_normal(M.shape) + 1j * rng.standard_normal(M.shape))
+    upper = np.triu(M, 1)
+    want = upper + upper.conj().T + np.diag(M.diagonal().real)
+    checked = require_hermitian(M)
+    assert np.array_equal(checked, want) and not checked.diagonal().imag.any()
+    assert np.array_equal(checked, checked.conj().T)
+
+
+def test_both_solvers_solve_the_upper_triangle_of_accepted_input():
+    # hydrogen plus a strict upper triangle of at most 0.9e-12 max|H|:
+    # vacuum_state and eig_hermitian are each other's oracle, and when each
+    # read its own triangle their ground energies differed by 7.5e-8 relative
+    n = 1024
+    H = hydrogen_matrix(n)
+    P = np.random.default_rng(n).standard_normal((n, n))
+    P = np.triu(P + 1j * np.random.default_rng(n + 1).standard_normal((n, n)), 1)
+    H += 0.9e-12 * np.abs(H).max() / np.abs(P).max() * P
+    want = eig_hermitian(H).eigenvalues[0]
+    assert abs(vacuum_state(H).energy - want) <= 1e-9 * abs(want)
+
+
+def test_eig_hermitian_rejects_an_eigenvalue_beyond_the_float_range():
+    # every entry is finite, but the upper eigenvalue 2e308 is not
+    with pytest.raises(OutOfFloatRange):
+        eig_hermitian([[1e308, 1e308], [1e308, 1e308]])
 
 
 def test_require_hermitian_edge_shapes():
-    empty, scale, _, _ = spectral._hermitian_and_scale(np.zeros((0, 0)))
+    empty, scale, _ = spectral._hermitian_and_scale(np.zeros((0, 0)))
     assert empty.shape == (0, 0) and empty.dtype == complex and scale == 0.0
-    one, scale, _, _ = spectral._hermitian_and_scale([[-2.5]])
+    one, scale, _ = spectral._hermitian_and_scale([[-2.5]])
     assert one.tolist() == [[-2.5 + 0j]] and scale == 2.5
     with pytest.raises(NonHermitianInput):
         require_hermitian([[1j]])

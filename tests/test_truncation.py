@@ -311,7 +311,7 @@ def _certificate_block_by_full_solves(H, energy) -> int:
     ztrsm; sigma comes from the energy, not from the iteration's last
     Rayleigh quotient, which differs from it at rounding level.
     """
-    M, scale, off, _ = spectral._hermitian_and_scale(H)
+    M, scale, off = spectral._hermitian_and_scale(H)
     n, eps = M.shape[0], np.finfo(float).eps
     delta = 1e-10 * scale
     sigma = energy - delta
